@@ -1,6 +1,6 @@
 """Network data types, evaluation, validation, and interval range analysis.
 
-Two network representations are used throughout:
+Three network kinds are used throughout:
 
 * ``SkipNet``: hidden layers of equal width, with skip connections from the
   input to every hidden layer and from every hidden unit to the output.
@@ -10,6 +10,14 @@ Two network representations are used throughout:
 * ``StandardNet``: a plain feedforward net where layer l reads only layer
   l-1 and the output reads only the last hidden layer. Layer widths may
   vary.
+* ``ShallowNet``: one hidden layer of ReLU or sigmoidal-step units whose
+  weighted sum is the output.
+
+Evaluation compiles any of them into one straight-line program: per unit,
+its bias and its nonzero (source, weight) terms in declaration order. One
+kernel runs that program over chunks of points. Every sum is formed in
+declaration order, so the output is bit-identical for every chunk size and
+thread count, and zero-weight padding changes no bit.
 
 All types are immutable after construction and all functions here are pure,
 so values can be shared freely across threads.
@@ -18,7 +26,8 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -242,157 +251,149 @@ class ShallowNet:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# Sums accumulate in declaration order (bias, then input terms, then
-# previous-layer terms, ascending index), skipping exactly-zero weights.
-# A zero weight contributes nothing, so skipping keeps the value identical
-# while making padded units bit-neutral.
+# Every net kind compiles to one straight-line program of stages; a stage
+# computes some hidden units, then adds its terms to the output sum. A unit is
+# a register row, a bias and its nonzero (source row, weight) terms in
+# declaration order: input terms, then previous-layer terms, ascending. The
+# registers hold the inputs, then two banks that layers alternate between; a
+# shallow net puts every unit on one row, in a stage of its own.
+#
+# Sums run in that order with one rounding per multiply and per add, so no bit
+# depends on the chunk size or the thread count, and skipping zero weights
+# keeps padding neutral. A +-1 weight is a bare add or subtract, which rounds
+# the same; a shallow net keeps zero output terms (-0.0 + 0 * z is +0.0).
+
+_CHUNK = 1 << 16  # points per kernel pass; verify's thread pool splits on it too
 
 
-def _check_points(X, input_dim: int) -> np.ndarray:
+class _Program(NamedTuple):
+    input_dim: int
+    registers: int
+    out_bias: float
+    ceiling: float | None  # clip after the ReLU: 1.0 for the sigmoidal step
+    stages: tuple  # ((units, output terms), ...); a unit is (row, bias, terms)
+
+
+def _split(rows: np.ndarray, weights: np.ndarray, counts) -> list:
+    """Flat (row, weight) terms cut into consecutive groups of ``counts``."""
+    terms = list(zip(rows.tolist(), weights.tolist()))
+    ends = np.cumsum(counts, dtype=int).tolist()
+    return [tuple(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _layers(W: np.ndarray, b: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list:
+    """Units of stacked layers, one tuple per layer: ``W`` is (layers, units,
+    sources), ``b`` (layers, units); column k of layer l reads row ``src[l, k]``
+    and its unit m writes row ``dst[l, m]``."""
+    l, m, k = np.nonzero(W)
+    width = W.shape[1]
+    terms = _split(src[l, k], W[l, m, k], np.bincount(l * width + m, minlength=b.size))
+    units = list(zip(dst.ravel().tolist(), b.ravel().tolist(), terms))
+    return [tuple(units[i * width : (i + 1) * width]) for i in range(len(W))]
+
+
+def _compile_skip(net: SkipNet) -> _Program:
+    d, w, depth = net.input_dim, net.width, net.depth
+    nz = np.flatnonzero(net.out_a)
+    stages = [((), _split(nz, net.out_a[nz], [nz.size])[0])]
+    if depth:
+        banks = d + (np.arange(depth) % 2)[:, None] * w + np.arange(w)
+        wx = np.stack((net.first_w,) + net.hidden_wx)
+        wy = np.stack((np.zeros((w, w)),) + net.hidden_wy)
+        # layer l reads the inputs and the bank that layer l - 1 wrote
+        src = np.hstack([np.broadcast_to(np.arange(d), (depth, d)), np.roll(banks, 1, axis=0)])
+        b = np.stack((net.first_b,) + net.hidden_b)
+        l, m = np.nonzero(net.out_beta)
+        outs = _split(banks[l, m], net.out_beta[l, m], np.bincount(l, minlength=depth))
+        stages += zip(_layers(np.concatenate([wx, wy], axis=2), b, src, banks), outs)
+    return _Program(d, d + min(depth, 2) * w, net.out_a0, None, tuple(stages))
+
+
+def _compile_standard(net: StandardNet) -> _Program:
+    d, widest = net.input_dim, max(net.widths, default=0)
+    stages, prev = [], np.arange(d)
+    for _, group in groupby(range(net.depth), key=lambda l: net.layer_w[l].shape):
+        ls = list(group)
+        banks = d + (np.array(ls) % 2)[:, None] * widest + np.arange(len(net.layer_b[ls[0]]))
+        W = np.stack([net.layer_w[l] for l in ls])
+        b = np.stack([net.layer_b[l] for l in ls])
+        stages += [(units, ()) for units in _layers(W, b, np.vstack([prev, *banks[:-1]]), banks)]
+        prev = banks[-1]
+    nz = np.flatnonzero(net.out_w)
+    stages.append(((), _split(prev[nz], net.out_w[nz], [nz.size])[0]))
+    return _Program(d, d + min(net.depth, 2) * widest, net.out_b, None, tuple(stages))
+
+
+def _compile_shallow(net: ShallowNet) -> _Program:
+    d, n = net.input_dim, net.units
+    src = np.broadcast_to(np.arange(d), (n, d))
+    units = _layers(net.a[:, None, :], net.b[:, None], src, np.full((n, 1), d))
+    outs = [((d, c),) for c in net.c.tolist()]
+    ceiling = 1.0 if net.activation == SIGMOIDAL_ACTIVATION else None
+    return _Program(d, d + 1, net.c0, ceiling, tuple(zip(units, outs)))
+
+
+def _add_terms(z: np.ndarray, terms, rows: list, tmp: np.ndarray, start=None) -> None:
+    """Add the terms to z in order. Given ``start``, z is set to it first, in
+    the first term's pass when there is one."""
+    acc = z if start is None else start
+    for row, w in terms:
+        if abs(w) == 1.0:
+            (np.add if w > 0 else np.subtract)(acc, rows[row], out=z)
+        else:
+            np.multiply(rows[row], w, out=tmp)
+            np.add(acc, tmp, out=z)
+        acc = z
+    if acc is not z:
+        z.fill(acc)
+
+
+def _run(prog: _Program, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != input_dim:
+    if X.ndim != 2 or X.shape[1] != prog.input_dim:
         raise InputError(
-            f"expected points of dimension {input_dim}, got array of shape {X.shape}"
+            f"expected points of dimension {prog.input_dim}, got array of shape {X.shape}"
         )
     if not np.isfinite(X).all():
         raise InputError("evaluation points must be finite")
-    return X
-
-
-def _accumulate(z: np.ndarray, weights: np.ndarray, columns: np.ndarray) -> None:
-    for i, w in enumerate(weights):
-        if w != 0.0:
-            z += w * columns[:, i]
-
-
-def _skip_layer(X, prev, wx, wy, b) -> np.ndarray:
-    n = X.shape[0]
-    width = b.shape[0]
-    out = np.empty((n, width))
-    for m in range(width):
-        z = np.full(n, b[m])
-        _accumulate(z, wx[m], X)
-        if wy is not None:
-            _accumulate(z, wy[m], prev)
-        np.maximum(z, 0.0, out=z)
-        out[:, m] = z
+    out, regs = np.empty(len(X)), np.empty((prog.registers + 1, min(len(X), _CHUNK)))
+    for a in range(0, len(X), _CHUNK):
+        acc = out[a : a + _CHUNK]
+        regs[: prog.input_dim, : len(acc)] = X[a : a + _CHUNK].T
+        *rows, tmp = regs[:, : len(acc)]  # the extra last row holds products
+        acc.fill(prog.out_bias)
+        for units, out_terms in prog.stages:
+            for row, bias, terms in units:
+                z = rows[row]
+                _add_terms(z, terms, rows, tmp, start=bias)
+                np.maximum(z, 0.0, out=z)
+                if prog.ceiling is not None:
+                    np.minimum(z, prog.ceiling, out=z)
+            _add_terms(acc, out_terms, rows, tmp)
     return out
-
-
-def _skip_forward(net: SkipNet, X: np.ndarray, collect: bool = False):
-    """Forward pass; optionally returns pre-activations of every layer."""
-    n = X.shape[0]
-    out = np.full(n, net.out_a0)
-    _accumulate(out, net.out_a, X)
-    pres = [] if collect else None
-    posts = [] if collect else None
-    if net.depth == 0:
-        return out, pres, posts
-    layer = _skip_layer(X, None, net.first_w, None, net.first_b)
-    if collect:
-        pre = np.full((n, net.width), net.first_b)
-        for m in range(net.width):
-            _accumulate(pre[:, m], net.first_w[m], X)
-        pres.append(pre)
-        posts.append(layer)
-    for m in range(net.width):
-        if net.out_beta[0, m] != 0.0:
-            out += net.out_beta[0, m] * layer[:, m]
-    for l in range(1, net.depth):
-        nxt = _skip_layer(X, layer, net.hidden_wx[l - 1], net.hidden_wy[l - 1], net.hidden_b[l - 1])
-        if collect:
-            pre = np.full((n, net.width), net.hidden_b[l - 1])
-            for m in range(net.width):
-                _accumulate(pre[:, m], net.hidden_wx[l - 1][m], X)
-                _accumulate(pre[:, m], net.hidden_wy[l - 1][m], layer)
-            pres.append(pre)
-            posts.append(nxt)
-        layer = nxt
-        for m in range(net.width):
-            if net.out_beta[l, m] != 0.0:
-                out += net.out_beta[l, m] * layer[:, m]
-    return out, pres, posts
-
-
-def eval_skip_batch(net: SkipNet, X) -> np.ndarray:
-    """Evaluate a SkipNet on an (n, d) array of points."""
-    X = _check_points(X, net.input_dim)
-    out, _, _ = _skip_forward(net, X)
-    return out
-
-
-def eval_skip(net: SkipNet, x) -> float:
-    """Evaluate a SkipNet at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise InputError(f"expected a point of dimension {net.input_dim}, got shape {x.shape}")
-    return float(eval_skip_batch(net, x.reshape(1, -1))[0])
-
-
-def eval_standard_batch(net: StandardNet, X) -> np.ndarray:
-    X = _check_points(X, net.input_dim)
-    n = X.shape[0]
-    layer = X
-    for W, b in zip(net.layer_w, net.layer_b):
-        nxt = np.empty((n, b.shape[0]))
-        for m in range(b.shape[0]):
-            z = np.full(n, b[m])
-            _accumulate(z, W[m], layer)
-            np.maximum(z, 0.0, out=z)
-            nxt[:, m] = z
-        layer = nxt
-    out = np.full(n, net.out_b)
-    _accumulate(out, net.out_w, layer)
-    return out
-
-
-def eval_standard(net: StandardNet, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise InputError(f"expected a point of dimension {net.input_dim}, got shape {x.shape}")
-    return float(eval_standard_batch(net, x.reshape(1, -1))[0])
-
-
-def eval_shallow_batch(net: ShallowNet, X) -> np.ndarray:
-    X = _check_points(X, net.input_dim)
-    n = X.shape[0]
-    out = np.full(n, net.c0)
-    for j in range(net.units):
-        z = np.full(n, net.b[j])
-        _accumulate(z, net.a[j], X)
-        np.maximum(z, 0.0, out=z)
-        if net.activation == SIGMOIDAL_ACTIVATION:
-            np.minimum(z, 1.0, out=z)
-        out += net.c[j] * z
-    return out
-
-
-def eval_shallow(net: ShallowNet, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise InputError(f"expected a point of dimension {net.input_dim}, got shape {x.shape}")
-    return float(eval_shallow_batch(net, x.reshape(1, -1))[0])
 
 
 def evaluate_batch(net, X) -> np.ndarray:
-    """Evaluate any supported network type on an (n, d) array."""
-    if isinstance(net, SkipNet):
-        return eval_skip_batch(net, X)
-    if isinstance(net, StandardNet):
-        return eval_standard_batch(net, X)
-    if isinstance(net, ShallowNet):
-        return eval_shallow_batch(net, X)
+    """Evaluate any supported network type on an (n, d) array of points."""
+    for kind, compile_kind in (
+        (SkipNet, _compile_skip), (StandardNet, _compile_standard), (ShallowNet, _compile_shallow)
+    ):
+        if isinstance(net, kind):
+            return _run(compile_kind(net), X)
     raise StructuralError(f"cannot evaluate object of type {type(net).__name__}")
 
 
 def evaluate(net, x) -> float:
-    if isinstance(net, SkipNet):
-        return eval_skip(net, x)
-    if isinstance(net, StandardNet):
-        return eval_standard(net, x)
-    if isinstance(net, ShallowNet):
-        return eval_shallow(net, x)
-    raise StructuralError(f"cannot evaluate object of type {type(net).__name__}")
+    """Evaluate any supported network type at a single point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InputError(f"expected a single point, got shape {x.shape}")
+    return float(evaluate_batch(net, x.reshape(1, -1))[0])
+
+
+# Per-kind names kept for callers; every kind runs the same kernel.
+eval_skip_batch = eval_standard_batch = eval_shallow_batch = evaluate_batch
+eval_skip = eval_standard = eval_shallow = evaluate
 
 
 # ---------------------------------------------------------------------------

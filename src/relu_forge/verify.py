@@ -24,7 +24,7 @@ import numpy as np
 from .builders import BoundCertificate
 from .calculus import count_params
 from .errors import ParameterError, StructuralError
-from .nets import Box, evaluate_batch
+from .nets import _CHUNK, Box, evaluate_batch
 
 __all__ = [
     "Uniform",
@@ -101,9 +101,6 @@ def strategy_points(box: Box, strategy) -> np.ndarray:
         raise ParameterError(f"unknown strategy {strategy!r}")
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-_CHUNK = 1 << 16
 
 
 def _evaluate_threaded(net, X: np.ndarray, threads) -> np.ndarray:

@@ -6,20 +6,76 @@ import pytest
 from relu_forge import (
     Box,
     InputError,
+    ShallowNet,
     SkipNet,
     StandardNet,
     affine_net,
+    build_multiply,
     build_square,
     eval_skip,
     eval_skip_batch,
     eval_standard,
+    evaluate_batch,
     interval_bounds,
+    nets,
+    pad_width,
     skip_to_standard,
     validate,
 )
-from relu_forge.nets import _skip_forward
 
-from conftest import make_random_skip
+from conftest import make_random_shallow, make_random_skip
+
+
+def reference_forward(net, X):
+    """Per-unit loop: (output, pre-activations of every hidden layer).
+
+    Each unit starts at its bias, then adds its nonzero input terms and its
+    nonzero previous-layer terms by ascending index; a skip net adds its
+    output terms after each layer. A shallow net adds every output term,
+    zero coefficients included.
+    """
+    n = X.shape[0]
+
+    def accumulate(z, weights, columns):
+        for i, w in enumerate(weights):
+            if w != 0.0:
+                z += w * columns[:, i]
+        return z
+
+    def layer(b, *parts):
+        pre = np.empty((n, b.shape[0]))
+        for m in range(b.shape[0]):
+            z = np.full(n, b[m])
+            for weights, columns in parts:
+                accumulate(z, weights[m], columns)
+            pre[:, m] = z
+        return pre
+
+    if isinstance(net, ShallowNet):
+        pre = layer(net.b, (net.a, X))
+        post = np.maximum(pre, 0.0)
+        if net.activation == nets.SIGMOIDAL_ACTIVATION:
+            post = np.minimum(post, 1.0)
+        out = np.full(n, net.c0)
+        for j in range(net.units):
+            out += net.c[j] * post[:, j]
+        return out, [pre]
+    pres = []
+    if isinstance(net, StandardNet):
+        post = X
+        for W, b in zip(net.layer_w, net.layer_b):
+            pres.append(layer(b, (W, post)))
+            post = np.maximum(pres[-1], 0.0)
+        return accumulate(np.full(n, net.out_b), net.out_w, post), pres
+    out = accumulate(np.full(n, net.out_a0), net.out_a, X)
+    if net.depth:
+        pres.append(layer(net.first_b, (net.first_w, X)))
+        for wx, wy, b in zip(net.hidden_wx, net.hidden_wy, net.hidden_b):
+            post = np.maximum(pres[-1], 0.0)
+            accumulate(out, net.out_beta[len(pres) - 1], post)
+            pres.append(layer(b, (wx, X), (wy, post)))
+        accumulate(out, net.out_beta[-1], np.maximum(pres[-1], 0.0))
+    return out, pres
 
 
 def square_interpolant(x: float, L: int) -> float:
@@ -226,7 +282,7 @@ class TestIntervalBounds:
             )
             rep = interval_bounds(net, net.domain)
             X = net.domain.sample(10_000, rng)
-            _, pres, _ = _skip_forward(net, X, collect=True)
+            _, pres = reference_forward(net, X)
             for l in range(net.depth):
                 assert (pres[l] >= rep.pre_lo[l] - 1e-9).all()
                 assert (pres[l] <= rep.pre_hi[l] + 1e-9).all()
@@ -252,3 +308,76 @@ class TestIntervalBounds:
             layer = np.maximum(pre, 0.0)
         out = layer @ std.out_w + std.out_b
         assert (out >= rep.out_lo - 1e-12).all() and (out <= rep.out_hi + 1e-12).all()
+
+
+def sparse_skip(d, depth, width, rng) -> SkipNet:
+    """Skip net whose weights and biases mix +-1, signed zeros and others."""
+    values = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -2.0, 3.25])
+    pick = lambda *shape: rng.choice(values, shape)
+    return SkipNet(
+        input_dim=d,
+        first_w=pick(width, d),
+        first_b=pick(width),
+        hidden_wx=tuple(pick(width, d) for _ in range(depth - 1)),
+        hidden_wy=tuple(pick(width, width) for _ in range(depth - 1)),
+        hidden_b=tuple(pick(width) for _ in range(depth - 1)),
+        out_a0=float(pick(1)[0]),
+        out_a=pick(d),
+        out_beta=pick(depth, width),
+        domain=Box.symmetric(d),
+    )
+
+
+class TestKernelMatchesReference:
+    """The compiled kernel reproduces the per-unit loop byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(nets, "_CHUNK", 7)
+
+    @staticmethod
+    def assert_same_bytes(net, X):
+        assert evaluate_batch(net, X).tobytes() == reference_forward(net, X)[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (3, 5, 2), (1, 8, 3)])
+    def test_random_skip_and_standard_forms(self, rng, shape):
+        for net in (make_random_skip(*shape, rng), sparse_skip(*shape, rng)):
+            X = net.domain.sample(50, rng)
+            self.assert_same_bytes(net, X)
+            self.assert_same_bytes(skip_to_standard(net), X)
+
+    @pytest.mark.parametrize("net", [build_square(4)[0], build_multiply(3)[0]])
+    def test_builder_nets_and_their_standard_forms(self, rng, net):
+        X = net.domain.sample(50, rng)
+        self.assert_same_bytes(net, X)
+        self.assert_same_bytes(skip_to_standard(net), X)
+
+    def test_padded_nets(self, rng):
+        for net in (make_random_skip(2, 3, 2, rng), build_multiply(2)[0]):
+            padded = pad_width(net, net.width + 3)
+            X = net.domain.sample(50, rng)
+            self.assert_same_bytes(padded, X)
+            assert evaluate_batch(padded, X).tobytes() == evaluate_batch(net, X).tobytes()
+
+    def test_depth_zero_affine(self, rng):
+        net = affine_net(0.5, [2.0, 0.0, -1.0], Box.symmetric(3))
+        self.assert_same_bytes(net, net.domain.sample(50, rng))
+
+    @pytest.mark.parametrize("activation", [nets.RELU_ACTIVATION, nets.SIGMOIDAL_ACTIVATION])
+    def test_shallow(self, rng, activation):
+        net = make_random_shallow(2, 6, rng, activation)
+        self.assert_same_bytes(net, net.domain.sample(50, rng))
+
+    def test_shallow_zero_coefficient_turns_negative_zero_bias_positive(self, rng):
+        net = ShallowNet(
+            input_dim=1,
+            a=np.array([[1.0]]),
+            b=np.zeros(1),
+            c=np.zeros(1),
+            c0=-0.0,
+            activation=nets.RELU_ACTIVATION,
+            domain=Box.symmetric(1),
+        )
+        X = net.domain.sample(50, rng)
+        self.assert_same_bytes(net, X)
+        assert not np.signbit(evaluate_batch(net, X)).any()
