@@ -5,7 +5,8 @@ errors against their targets, and write one CSV table per target.
 Usage:
     python scripts/run_sweeps.py [--out-dir sweeps] [--threads N]
 
-Deterministic: same inputs produce byte-identical CSV files.
+Each table is one ``relu-forge sweep`` run, so targets, boxes and grids are
+the CLI's. Deterministic: same inputs produce byte-identical CSV files.
 """
 
 import argparse
@@ -15,51 +16,15 @@ import time
 
 import numpy as np
 
-from relu_forge import (
-    Box,
-    DyadicMidpoints,
-    PolySpec,
-    Uniform,
-    build_monomial,
-    build_multiply,
-    build_polynomial,
-    build_square,
-    convergence_sweep,
-    sweep_csv,
+from relu_forge import cli
+
+# (CSV name, CLI target, depth range); the polynomial is 1 - x1^2 + x1*x2/2.
+SWEEPS = (
+    ("square", "square", "1:12"),
+    ("multiply", "multiply", "2:8"),
+    ("monomial_x1x2x3", "monomial:1,2,3", "2:6"),
+    ("poly_acceptance", "poly:0,0:1;2,0:-1;1,1:0.5", "2:6"),
 )
-
-ACCEPTANCE_POLY = PolySpec(2, {(0, 0): 1.0, (2, 0): -1.0, (1, 1): 0.5})
-
-SWEEPS = {
-    "square": dict(
-        build=build_square,
-        target=lambda X: X[:, 0] ** 2,
-        box=Box.symmetric(1),
-        strategy_for=lambda L: DyadicMidpoints(L),
-        depths=range(1, 13),
-    ),
-    "multiply": dict(
-        build=build_multiply,
-        target=lambda X: X[:, 0] * X[:, 1],
-        box=Box.symmetric(2),
-        strategy_for=lambda L: Uniform(513),
-        depths=range(2, 9),
-    ),
-    "monomial_x1x2x3": dict(
-        build=lambda L: build_monomial([1, 2, 3], L, 3),
-        target=lambda X: X[:, 0] * X[:, 1] * X[:, 2],
-        box=Box.symmetric(3),
-        strategy_for=lambda L: Uniform(65),
-        depths=range(2, 7),
-    ),
-    "poly_acceptance": dict(
-        build=lambda L: build_polynomial(ACCEPTANCE_POLY, L),
-        target=ACCEPTANCE_POLY,
-        box=Box.symmetric(2),
-        strategy_for=lambda L: Uniform(513),
-        depths=range(2, 7),
-    ),
-}
 
 
 def main(argv=None) -> int:
@@ -69,27 +34,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    threads = [] if args.threads is None else ["--threads", str(args.threads)]
 
     all_ok = True
-    for name, cfg in SWEEPS.items():
+    for name, target, depths in SWEEPS:
         t0 = time.perf_counter()
-        rows = convergence_sweep(
-            cfg["build"],
-            cfg["target"],
-            list(cfg["depths"]),
-            cfg["box"],
-            cfg["strategy_for"],
-            threads=args.threads,
-        )
         path = out_dir / f"{name}.csv"
-        path.write_text(sweep_csv(rows), encoding="utf-8")
-        worst = max(r.ratio for r in rows)
-        rates = [b.measured / a.measured for a, b in zip(rows, rows[1:])]
-        ok = worst <= 1.0
+        code = cli.main([*threads, "sweep", target, "--depths", depths, "--csv", str(path)])
+        if code == cli.USAGE_ERROR:
+            return code
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        measured = [float(r[5]) for r in rows]
+        worst = max(float(r[6]) for r in rows)
+        rates = [b / a for a, b in zip(measured, measured[1:])]
+        ok = code == 0
         all_ok &= ok
         print(
             f"{name:18s} rows={len(rows)} worst measured/bound={worst:.3f} "
-            f"mean rate={np.mean(rates):.3f} wrote {path} "
+            f"mean rate={np.mean(rates):.3f} "
             f"({time.perf_counter() - t0:.2f}s) {'ok' if ok else 'BOUND VIOLATED'}"
         )
     return 0 if all_ok else 1

@@ -10,6 +10,12 @@ positivity shift: a channel holds ``v + c`` with ``c`` picked from interval
 analysis so the ReLU argument stays nonnegative over the domain box, and
 every consumer subtracts ``c`` through its bias. All shift constants are
 recorded on the result's ``shifts`` metadata.
+
+Ranges have one source: ``nets.interval_bounds``, whose ``term_lo`` bounds
+each hidden layer's output term, and ``nets._affine_range`` for affine forms
+over the box (the output head, shallow units). Shifts have one rule,
+``_shifts``: a running partial is the sum of its terms taken in order, and
+its shift is ``max(0, -lo)`` of that sum's lower bound.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .nets import (
     ShallowNet,
     SkipNet,
     StandardNet,
+    _affine_range,
     affine_net,
     interval_bounds,
 )
@@ -59,11 +66,18 @@ def _same_domain(f1: SkipNet, f2: SkipNet):
     )
 
 
-def _coeff_range(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Range of ``coeffs . v`` when each v[i] lies in [lo[i], hi[i]]."""
-    pos = np.clip(coeffs, 0.0, None)
-    neg = np.clip(coeffs, None, 0.0)
-    return float(pos @ lo + neg @ hi), float(pos @ hi + neg @ lo)
+def _head_lo(f: SkipNet) -> float:
+    """Lower bound of the affine head ``out_a0 + out_a . x`` over the domain."""
+    return f.out_a0 + float(_affine_range(f.out_a, 0.0, f.domain.lo, f.domain.hi)[0])
+
+
+def _shifts(base: float, terms_lo) -> list:
+    """Positivity shift of each running partial ``base + t_0 + .. + t_k``.
+
+    ``terms_lo`` are lower bounds of the terms, summed left to right. Python's
+    ``max`` keeps a zero shift +0.0, where ``np.maximum(0.0, -0.0)`` is -0.0.
+    """
+    return [max(0.0, -lo) for lo in (base + np.cumsum(terms_lo)).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +242,20 @@ def _fold_affine_inner(f2: SkipNet, f1: SkipNet) -> SkipNet:
     )
 
 
-def _beta_support_start(f: SkipNet) -> int | None:
-    """First (1-based) layer whose output coefficients are not all zero."""
-    for l in range(f.depth):
-        if np.any(f.out_beta[l] != 0.0):
-            return l + 1
-    return None
+def _find_accumulator_channel(f: SkipNet, first: int) -> int | None:
+    """Channel usable for output threading over the layers after ``first``.
 
-
-def _find_accumulator_channel(f: SkipNet, start: int) -> int | None:
-    """Channel usable for output threading over layers ``start+1 .. depth``.
-
-    The channel must carry no output coefficient on those layers and no
-    other unit may read it there, so overwriting it cannot change any
-    surviving value. Highest index wins, matching where padding puts
-    dead units.
+    Past layer ``first`` (0-based) the channel must carry no output
+    coefficient and no other unit may read it, so overwriting it cannot
+    change any surviving value. Highest index wins, matching where padding
+    puts dead units.
     """
-    lo, hi = start + 1, f.depth
-    if lo > hi:
-        return f.width - 1
-    for j in range(f.width - 1, -1, -1):
-        if np.any(f.out_beta[lo - 1 : hi, j] != 0.0):
-            continue
-        ok = True
-        for layer in range(lo + 1, hi + 1):
-            wy = f.hidden_wy[layer - 2]
-            readers = np.flatnonzero(wy[:, j] != 0.0)
-            if np.any(readers != j):
-                ok = False
-                break
-        if ok:
-            return j
-    return None
+    w = f.width
+    wy = np.array(f.hidden_wy[first + 1 :]).reshape(-1, w, w)
+    read = ((wy != 0.0) & ~np.eye(w, dtype=bool)).any(axis=(0, 1))
+    used = (f.out_beta[first + 1 :] != 0.0).any(axis=0)
+    free = np.flatnonzero(~(read | used))
+    return int(free[-1]) if free.size else None
 
 
 def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
@@ -309,128 +305,81 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
     M = f2.width
     L1, L2 = f1.depth, f2.depth
 
-    start = _beta_support_start(f1)
-    acc_layers = range(start + 1, L1 + 1) if start is not None else range(0)
-    acc_channel = None
-    if len(acc_layers) > 0:
-        acc_channel = _find_accumulator_channel(f1, start)
-        if acc_channel is None:
+    # f1's layers after the first one with output coefficients (hidden
+    # indices first ..) thread the running output partial.
+    support = np.flatnonzero((f1.out_beta != 0.0).any(axis=1))
+    first = int(support[0]) if support.size else L1 - 1
+    if first < L1 - 1:
+        acc = _find_accumulator_channel(f1, first)
+        if acc is None:
             raise NoFreeChannelError(
                 "inner net has no structurally free channel to thread its "
                 "output; pad_width it one unit wider"
             )
 
-    # Interval analysis drives every positivity shift.
     rep = interval_bounds(f1, f1.domain)
-    new_shifts = []
-    acc_shift = {}
-    plo = phi = 0.0
-    if start is not None:
-        for l in range(start, L1 + 1):
-            blo, bhi = _coeff_range(
-                f1.out_beta[l - 1], rep.post_lo[l - 1], rep.post_hi[l - 1]
-            )
-            plo += blo
-            phi += bhi
-            if l < L1:
-                acc_shift[l + 1] = max(0.0, -plo)
-    alo, ahi = _coeff_range(f1.out_a, f1.domain.lo, f1.domain.hi)
-    inner_lo = f1.out_a0 + alo + plo
-    carry_shift = max(0.0, -inner_lo)
+    # acc_shift[l] shifts f1's output partial over layers 0 .. l-1;
+    # carry_shift shifts the whole of f1(x).
+    acc_shift = _shifts(0.0, [0.0, *rep.term_lo[:-1]])
+    carry_shift = _shifts(_head_lo(f1), rep.term_lo)[-1]
 
     # Coefficients expressing f1(x) over (last layer of f1, x, constant).
-    e_coeffs = np.zeros(W)
+    e_coeffs = f1.out_beta[-1].copy() if support.size else np.zeros(W)
     e_const = f1.out_a0
-    if start is not None:
-        e_coeffs = f1.out_beta[L1 - 1].copy()
-        if len(acc_layers) > 0:
-            e_coeffs[acc_channel] = 1.0
-            e_const = f1.out_a0 - acc_shift[L1]
-    e_alpha = f1.out_a.copy()
 
-    hidden_wx = [a.copy() for a in f1.hidden_wx]
-    hidden_wy = [a.copy() for a in f1.hidden_wy]
-    hidden_b = [a.copy() for a in f1.hidden_b]
-    first_w = f1.first_w
-    first_b = f1.first_b
+    # Thread the running output partial through the free channel; the
+    # layers before it are f1's own.
+    hidden_wx, hidden_wy, hidden_b = list(f1.hidden_wx), list(f1.hidden_wy), list(f1.hidden_b)
+    if first < L1 - 1:
+        wx = np.array(f1.hidden_wx[first:])
+        wy = np.array(f1.hidden_wy[first:])
+        b = np.array(f1.hidden_b[first:])
+        wx[:, acc] = 0.0
+        wy[:, acc] = f1.out_beta[first:-1]
+        wy[1:, acc, acc] += 1.0
+        b[:, acc] = np.diff(acc_shift[first:])
+        hidden_wx[first:], hidden_wy[first:], hidden_b[first:] = wx, wy, b
+        e_coeffs[acc] = 1.0
+        e_const = f1.out_a0 - acc_shift[-1]
 
-    # Thread the running output partial through the free channel.
-    for t in acc_layers:
-        wx = hidden_wx[t - 2]
-        wy = hidden_wy[t - 2]
-        b = hidden_b[t - 2]
-        wx[acc_channel] = 0.0
-        row = f1.out_beta[t - 2].copy()
-        if t > start + 1:
-            row[acc_channel] += 1.0
-            b[acc_channel] = acc_shift[t] - acc_shift[t - 1]
-        else:
-            b[acc_channel] = acc_shift[t]
-        wy[acc_channel] = row
-        new_shifts.append(acc_shift[t])
-
-    # Which f2 stages still read the inner value after the boundary.
-    readers = [
-        t
-        for t in range(2, L2 + 1)
-        if np.any(f2.hidden_wx[t - 2][:, 0] != 0.0)
-    ]
-    if float(f2.out_a[0]) != 0.0:
-        readers.append(L2 + 1)
-    last_reader = max(readers) if readers else 1
-    carry_alive = last_reader - 1  # carry units exist on stage layers 1..carry_alive
-    if carry_alive > 0:
-        new_shifts.append(carry_shift)
+    # Stage t = 2 .. L2 of f2, and its output as stage L2 + 1, read the inner
+    # value through the carry, which lives on stages 1 .. carry_alive.
+    wx2 = np.array(f2.hidden_wx).reshape(L2 - 1, M, d + 1)
+    readers = np.flatnonzero(np.append((wx2[:, :, 0] != 0.0).any(axis=1), f2.out_a[0] != 0.0))
+    carry_alive = int(readers[-1]) + 1 if readers.size else 0
+    new_shifts = acc_shift[first + 1 :] + ([carry_shift] if carry_alive > 0 else [])
 
     # Boundary layer: f2's first layer plus the carry channel.
-    wx_b = np.zeros((W, d))
-    wy_b = np.zeros((W, W))
-    b_b = np.zeros(W)
-    for m in range(M):
-        wy_b[m] = f2.first_w[m, 0] * e_coeffs
-        wx_b[m] = f2.first_w[m, 1:] + f2.first_w[m, 0] * e_alpha
-        b_b[m] = f2.first_b[m] + f2.first_w[m, 0] * e_const
+    c = f2.first_w[:, 0]
+    wx_b, wy_b, b_b = np.zeros((W, d)), np.zeros((W, W)), np.zeros(W)
+    wy_b[:M] = c[:, None] * e_coeffs
+    wx_b[:M] = f2.first_w[:, 1:] + c[:, None] * f1.out_a
+    b_b[:M] = f2.first_b + c * e_const
     if carry_alive > 0:
-        wy_b[W - 1] = e_coeffs
-        wx_b[W - 1] = e_alpha
-        b_b[W - 1] = e_const + carry_shift
-    hidden_wx.append(wx_b)
-    hidden_wy.append(wy_b)
-    hidden_b.append(b_b)
+        wy_b[M], wx_b[M], b_b[M] = e_coeffs, f1.out_a, e_const + carry_shift
 
     # Remaining f2 stages, rewired to the carry channel.
-    for t in range(2, L2 + 1):
-        wx2 = f2.hidden_wx[t - 2]
-        wy2 = f2.hidden_wy[t - 2]
-        b2 = f2.hidden_b[t - 2]
-        wx = np.zeros((W, d))
-        wy = np.zeros((W, W))
-        b = np.zeros(W)
-        for m in range(M):
-            wy[m, :M] = wy2[m]
-            wy[m, W - 1] = wx2[m, 0]
-            wx[m] = wx2[m, 1:]
-            b[m] = b2[m] - wx2[m, 0] * carry_shift
-        if t <= carry_alive:
-            wy[W - 1, W - 1] = 1.0
-        hidden_wx.append(wx)
-        hidden_wy.append(wy)
-        hidden_b.append(b)
+    wx_s, wy_s, b_s = np.zeros((L2 - 1, W, d)), np.zeros((L2 - 1, W, W)), np.zeros((L2 - 1, W))
+    wx_s[:, :M] = wx2[:, :, 1:]
+    wy_s[:, :M, :M] = np.array(f2.hidden_wy).reshape(L2 - 1, M, M)
+    wy_s[:, :M, M] = wx2[:, :, 0]
+    wy_s[:, M, M] = np.arange(2, L2 + 1) <= carry_alive
+    b_s[:, :M] = np.array(f2.hidden_b).reshape(L2 - 1, M) - wx2[:, :, 0] * carry_shift
 
     out_beta = np.zeros((L1 + L2, W))
     out_beta[L1:, :M] = f2.out_beta
     ay = float(f2.out_a[0])
     if ay != 0.0:
-        out_beta[L1 + L2 - 1, W - 1] = ay
+        out_beta[L1 + L2 - 1, M] = ay
     return SkipNet(
         input_dim=d,
-        first_w=first_w,
-        first_b=first_b,
-        hidden_wx=tuple(hidden_wx),
-        hidden_wy=tuple(hidden_wy),
-        hidden_b=tuple(hidden_b),
+        first_w=f1.first_w,
+        first_b=f1.first_b,
+        hidden_wx=(*hidden_wx, wx_b, *wx_s),
+        hidden_wy=(*hidden_wy, wy_b, *wy_s),
+        hidden_b=(*hidden_b, b_b, *b_s),
         out_a0=f2.out_a0 - ay * carry_shift,
-        out_a=f2.out_a[1:].copy(),
+        out_a=f2.out_a[1:],
         out_beta=out_beta,
         domain=f1.domain,
         shifts=f1.shifts + f2.shifts + tuple(new_shifts),
@@ -453,53 +402,39 @@ def skip_to_standard(f: SkipNet) -> StandardNet:
     d, M, L = f.input_dim, f.width, f.depth
     rep = interval_bounds(f, f.domain)
     cx = np.maximum(0.0, -f.domain.lo)
-    alo, ahi = _coeff_range(f.out_a, f.domain.lo, f.domain.hi)
-    acc_shift = [0.0] * (L + 1)
-    acc_shift[1] = max(0.0, -(f.out_a0 + alo))
-    plo = 0.0
-    for l in range(1, L):
-        blo, _ = _coeff_range(f.out_beta[l - 1], rep.post_lo[l - 1], rep.post_hi[l - 1])
-        plo += blo
-        acc_shift[l + 1] = max(0.0, -(f.out_a0 + alo + plo))
+    # acc_shift[l] shifts the output partial over the head and layers 0 .. l-1
+    acc_shift = _shifts(_head_lo(f), [0.0, *rep.term_lo[:-1]])
 
     width = M + d + 1
-    layer_w, layer_b = [], []
     W1 = np.zeros((width, d))
     b1 = np.zeros(width)
     W1[:M] = f.first_w
     b1[:M] = f.first_b
-    for i in range(d):
-        W1[M + i, i] = 1.0
-        b1[M + i] = cx[i]
+    W1[M : M + d] = np.eye(d)
+    b1[M : M + d] = cx
     W1[M + d] = f.out_a
-    b1[M + d] = f.out_a0 + acc_shift[1]
-    layer_w.append(W1)
-    layer_b.append(b1)
-    for l in range(1, L):
-        Wl = np.zeros((width, width))
-        bl = np.zeros(width)
-        wx, wy, b = f.hidden_wx[l - 1], f.hidden_wy[l - 1], f.hidden_b[l - 1]
-        Wl[:M, :M] = wy
-        Wl[:M, M : M + d] = wx
-        bl[:M] = b - wx @ cx
-        for i in range(d):
-            Wl[M + i, M + i] = 1.0
-        Wl[M + d, :M] = f.out_beta[l - 1]
-        Wl[M + d, M + d] = 1.0
-        bl[M + d] = acc_shift[l + 1] - acc_shift[l]
-        layer_w.append(Wl)
-        layer_b.append(bl)
+    b1[M + d] = f.out_a0 + acc_shift[0]
+    wx = np.array(f.hidden_wx).reshape(L - 1, M, d)
+    Wh = np.zeros((L - 1, width, width))
+    bh = np.zeros((L - 1, width))
+    Wh[:, :M, :M] = np.array(f.hidden_wy).reshape(L - 1, M, M)
+    Wh[:, :M, M : M + d] = wx
+    bh[:, :M] = np.array(f.hidden_b).reshape(L - 1, M) - wx @ cx
+    Wh[:, M : M + d, M : M + d] = np.eye(d)
+    Wh[:, M + d, :M] = f.out_beta[:-1]
+    Wh[:, M + d, M + d] = 1.0
+    bh[:, M + d] = np.diff(acc_shift)
     out_w = np.zeros(width)
     out_w[:M] = f.out_beta[L - 1]
     out_w[M + d] = 1.0
     return StandardNet(
         input_dim=d,
-        layer_w=tuple(layer_w),
-        layer_b=tuple(layer_b),
+        layer_w=(W1, *Wh),
+        layer_b=(b1, *bh),
         out_w=out_w,
-        out_b=-acc_shift[L],
+        out_b=-acc_shift[-1],
         domain=f.domain,
-        shifts=tuple(cx) + tuple(acc_shift[1 : L + 1]),
+        shifts=tuple(cx) + tuple(acc_shift),
     )
 
 
@@ -524,65 +459,44 @@ def wide_to_deep(s: ShallowNet, partition) -> StandardNet:
             f"partition sums to {sum(partition)}, net has {s.units} units"
         )
     d = s.input_dim
-    L = len(partition)
     cx = np.maximum(0.0, -s.domain.lo)
-    unit_lo = np.empty(s.units)
-    unit_hi = np.empty(s.units)
-    for j in range(s.units):
-        lo, hi = _coeff_range(s.a[j], s.domain.lo, s.domain.hi)
-        unit_lo[j] = max(0.0, lo + s.b[j])
-        unit_hi[j] = max(0.0, hi + s.b[j])
-
-    starts = np.concatenate([[0], np.cumsum(partition)])
-    acc_shift = [0.0] * (L + 1)
-    acc_shift[1] = max(0.0, -s.c0)
-    running_lo = s.c0
-    for l in range(1, L):
-        block = slice(starts[l - 1], starts[l])
-        blo, _ = _coeff_range(s.c[block], unit_lo[block], unit_hi[block])
-        running_lo += blo
-        acc_shift[l + 1] = max(0.0, -running_lo)
+    lo, hi = _affine_range(s.a, 0.0, s.domain.lo, s.domain.hi)
+    unit_lo, unit_hi = np.maximum(lo + s.b, 0.0), np.maximum(hi + s.b, 0.0)
+    ends = np.cumsum(partition).tolist()
+    blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+    block_lo = [_affine_range(s.c[k], 0.0, unit_lo[k], unit_hi[k])[0] for k in blocks]
+    # acc_shift[l] shifts the partial over c0 and blocks 0 .. l-1
+    acc_shift = _shifts(0.0, [s.c0, *block_lo[:-1]])
 
     layer_w, layer_b = [], []
-    prev_width = d
-    prev_m = 0
-    for l in range(1, L + 1):
-        m_l = partition[l - 1]
-        width = d + m_l + 1
-        Wl = np.zeros((width, prev_width if l > 1 else d))
-        bl = np.zeros(width)
-        block = slice(starts[l - 1], starts[l])
-        if l == 1:
-            for i in range(d):
-                Wl[i, i] = 1.0
-                bl[i] = cx[i]
-            Wl[d : d + m_l] = s.a[block]
-            bl[d : d + m_l] = s.b[block]
-            bl[d + m_l] = s.c0 + acc_shift[1]
+    for l, k in enumerate(blocks):
+        m = k.stop - k.start
+        Wl = np.zeros((d + m + 1, layer_w[-1].shape[0] if l else d))
+        bl = np.zeros(d + m + 1)
+        Wl[:d, :d] = np.eye(d)
+        Wl[d : d + m, :d] = s.a[k]
+        if l == 0:
+            bl[:d] = cx
+            bl[d : d + m] = s.b[k]
+            bl[d + m] = s.c0 + acc_shift[0]
         else:
-            for i in range(d):
-                Wl[i, i] = 1.0
-            Wl[d : d + m_l, :d] = s.a[block]
-            bl[d : d + m_l] = s.b[block] - s.a[block] @ cx
-            prev_block = slice(starts[l - 2], starts[l - 1])
-            Wl[d + m_l, d : d + prev_m] = s.c[prev_block]
-            Wl[d + m_l, d + prev_m] = 1.0
-            bl[d + m_l] = acc_shift[l] - acc_shift[l - 1]
+            bl[d : d + m] = s.b[k] - s.a[k] @ cx
+            Wl[d + m, d:-1] = s.c[blocks[l - 1]]
+            Wl[d + m, -1] = 1.0
+            bl[d + m] = acc_shift[l] - acc_shift[l - 1]
         layer_w.append(Wl)
         layer_b.append(bl)
-        prev_width = width
-        prev_m = m_l
     out_w = np.zeros(d + partition[-1] + 1)
-    out_w[d : d + partition[-1]] = s.c[starts[L - 1] : starts[L]]
-    out_w[d + partition[-1]] = 1.0
+    out_w[d:-1] = s.c[blocks[-1]]
+    out_w[-1] = 1.0
     return StandardNet(
         input_dim=d,
         layer_w=tuple(layer_w),
         layer_b=tuple(layer_b),
         out_w=out_w,
-        out_b=-acc_shift[L],
+        out_b=-acc_shift[-1],
         domain=s.domain,
-        shifts=tuple(cx) + tuple(acc_shift[1 : L + 1]),
+        shifts=tuple(cx) + tuple(acc_shift),
     )
 
 

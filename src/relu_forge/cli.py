@@ -164,35 +164,27 @@ def _default_resolution(dim: int) -> int:
     return {1: 2**15 + 1, 2: 513, 3: 65}.get(dim, 17)
 
 
-def _sweep_target(name: str, threads):
+def _sweep_target(name: str):
     """(build(L), target, box, strategy_for) for a sweepable target name."""
     if name == "square":
-        build = build_square
-        target = lambda X: X[:, 0] ** 2
-        box = Box.symmetric(1)
-        strategy_for = lambda L: DyadicMidpoints(L)
+        build, dim = build_square, 1
     elif name == "multiply":
-        build = build_multiply
-        target = lambda X: X[:, 0] * X[:, 1]
-        box = Box.symmetric(2)
-        strategy_for = lambda L: Uniform(_default_resolution(2))
+        build, dim = build_multiply, 2
     elif name.startswith("monomial:"):
         factors = _parse_ints(name.split(":", 1)[1])
-        dim = max(factors)
+        dim = max(factors, default=0)
         build = lambda L: build_monomial(factors, L, dim)
-        idx = np.array(factors) - 1
-        target = lambda X: np.prod(X[:, idx], axis=1)
-        box = Box.symmetric(dim)
-        strategy_for = lambda L: Uniform(_default_resolution(dim))
     elif name.startswith("poly:"):
         spec = _parse_poly(name.split(":", 1)[1])
-        build = lambda L: build_polynomial(spec, L)
-        target = spec
-        box = Box.symmetric(spec.input_dim)
-        strategy_for = lambda L: Uniform(_default_resolution(spec.input_dim))
+        build, dim = (lambda L: build_polynomial(spec, L)), spec.input_dim
     else:
         raise ParameterError(f"target {name!r} is not sweepable")
-    return build, target, box, strategy_for
+    target = _target_callable(name, dim)
+    if name == "square":
+        strategy_for = lambda L: DyadicMidpoints(L)
+    else:
+        strategy_for = lambda L: Uniform(_default_resolution(dim))
+    return build, target, Box.symmetric(dim), strategy_for
 
 
 def _read_net(path: str):
@@ -307,7 +299,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    build, target, box, strategy_for = _sweep_target(args.target, args.threads)
+    build, target, box, strategy_for = _sweep_target(args.target)
     depths = _parse_depth_range(args.depths)
     rows = convergence_sweep(
         build, target, depths, box, strategy_for, threads=args.threads

@@ -515,7 +515,10 @@ class IntervalReport:
     """Conservative per-unit pre-activation ranges plus the output range.
 
     ``pre_lo[l][m] <= preactivation(l, m) <= pre_hi[l][m]`` for every point
-    of the analyzed box; ``post_*`` are the ranges after ReLU.
+    of the analyzed box; ``post_*`` are the ranges after ReLU. For a skip
+    net, ``term_lo[l]`` is the lower bound of layer l's output term
+    ``out_beta[l] . y_l``; ``out_lo`` is the bound of the affine head plus
+    these terms, summed left to right. Standard nets leave it empty.
     """
 
     pre_lo: tuple
@@ -524,6 +527,7 @@ class IntervalReport:
     post_hi: tuple
     out_lo: float
     out_hi: float
+    term_lo: tuple = ()
 
 
 def _affine_range(W, b, lo, hi):
@@ -540,7 +544,7 @@ def interval_bounds(net, box: Box) -> IntervalReport:
     """
     if box.dim != net.input_dim:
         raise InputError(f"box dimension {box.dim} != input_dim {net.input_dim}")
-    pre_lo, pre_hi, post_lo, post_hi = [], [], [], []
+    pre_lo, pre_hi, post_lo, post_hi, term_lo = [], [], [], [], []
     if isinstance(net, SkipNet):
         if net.depth > 0:
             lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
@@ -562,7 +566,8 @@ def interval_bounds(net, box: Box) -> IntervalReport:
             blo, bhi = _affine_range(
                 net.out_beta[l].reshape(1, -1), np.zeros(1), post_lo[l], post_hi[l]
             )
-            olo += float(blo[0])
+            term_lo.append(float(blo[0]))
+            olo += term_lo[-1]
             ohi += float(bhi[0])
     elif isinstance(net, StandardNet):
         lo_in, hi_in = box.lo, box.hi
@@ -584,4 +589,5 @@ def interval_bounds(net, box: Box) -> IntervalReport:
         post_hi=tuple(post_hi),
         out_lo=olo,
         out_hi=ohi,
+        term_lo=tuple(term_lo),
     )

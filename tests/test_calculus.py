@@ -1,16 +1,21 @@
 """Structural algebra: addition, composition, padding, conversions, counts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from relu_forge import (
     Box,
     NoFreeChannelError,
+    PolySpec,
     StructuralError,
     add,
     affine_net,
     build_analytic,
+    build_monomial,
     build_multiply,
+    build_polynomial,
     build_square,
     compose,
     count_params,
@@ -228,6 +233,43 @@ class TestWideToDeep:
         s = make_random_shallow(2, 8, rng)
         with pytest.raises(StructuralError):
             wide_to_deep(s, [3, 4])
+
+
+class TestShifts:
+    """Every positivity shift is a nonnegative float with a positive sign bit."""
+
+    @staticmethod
+    def assert_positive(shifts):
+        assert all(s >= 0.0 and math.copysign(1.0, s) == 1.0 for s in shifts), shifts
+
+    def test_rewrites_record_positive_shifts(self, rng):
+        spec = PolySpec(2, {(0, 0): 1.0, (2, 0): -1.0, (1, 1): 0.5})
+        skip_nets = [
+            build_square(3)[0],
+            build_multiply(3)[0],
+            build_monomial([1, 1, 2], 2, 2)[0],
+            build_monomial([1, 2, 3], 1, 3, clamp=True)[0],
+            build_polynomial(spec, 2)[0],
+            build_analytic(preset_series("runge")[0], 1e-3, 0.25).net,
+        ]
+        for _ in range(10):
+            d, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            f1 = make_random_skip(d, int(rng.integers(1, 4)), w, rng)
+            f2 = make_random_skip(d + 1, int(rng.integers(1, 4)), w, rng)
+            skip_nets += [f1, compose(f2, pad_width(f1, w + 1))]
+        for net in skip_nets:
+            self.assert_positive(net.shifts)
+            self.assert_positive(skip_to_standard(net).shifts)
+        for i in range(10):
+            s = make_random_shallow(2, 6, rng, "sigmoidal-step" if i % 2 else "relu")
+            s = sigmoidal_to_relu(s) if i % 2 else s
+            cuts = np.sort(rng.choice(np.arange(1, s.units), 2, replace=False))
+            partition = np.diff([0, *cuts, s.units])
+            self.assert_positive(wide_to_deep(s, partition).shifts)
+
+    def test_pinned_values(self):
+        assert build_monomial([1, 1, 2], 1, 2)[0].shifts == (0.0, 1.0, 2.0)
+        assert skip_to_standard(build_square(3)[0]).shifts == (1.0, 0.0, 0.0, 1.0)
 
 
 class TestSigmoidalToRelu:

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -127,6 +129,25 @@ class TestSweep:
         first = capsys.readouterr().out
         assert run(["sweep", "square", "--depths", "2:4"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_monomial_without_factors_is_usage_error(self, capsys):
+        assert run(["sweep", "monomial:", "--depths", "2:3"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestRunSweepsScript:
+    def test_writes_one_cli_table_per_target(self, tmp_path, capsys):
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+        spec = importlib.util.spec_from_file_location("run_sweeps", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--out-dir", str(tmp_path), "--threads", "1"]) == 0
+        summary = [line for line in capsys.readouterr().out.splitlines() if "rows=" in line]
+        assert len(summary) == 4 and all(line.endswith(" ok") for line in summary)
+        names = ["monomial_x1x2x3", "multiply", "poly_acceptance", "square"]
+        assert sorted(p.stem for p in tmp_path.glob("*.csv")) == names
+        assert run(["sweep", "square", "--depths", "1:12"]) == 0
+        assert (tmp_path / "square.csv").read_text() == capsys.readouterr().out
 
 
 class TestThreads:

@@ -1,5 +1,8 @@
 """Core type behavior: evaluation, validation, interval analysis."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,25 @@ class TestIntervalBounds:
             for l in range(net.depth):
                 assert (pres[l] >= rep.pre_lo[l] - 1e-9).all()
                 assert (pres[l] <= rep.pre_hi[l] + 1e-9).all()
+
+    def test_term_lo_bounds_each_output_term(self, rng):
+        cases = [build_square(4)[0], build_multiply(3)[0]] + [
+            make_random_skip(
+                int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng
+            )
+            for _ in range(10)
+        ]
+        for net in cases:
+            rep = interval_bounds(net, net.domain)
+            assert len(rep.term_lo) == net.depth
+            head = interval_bounds(affine_net(net.out_a0, net.out_a, net.domain), net.domain)
+            assert functools.reduce(operator.add, rep.term_lo, head.out_lo) == rep.out_lo
+            X = net.domain.sample(5000, rng)
+            _, pres = reference_forward(net, X)
+            for l in range(net.depth):
+                terms = np.maximum(pres[l], 0.0) @ net.out_beta[l]
+                assert rep.term_lo[l] <= terms.min() + 1e-9
+        assert interval_bounds(skip_to_standard(cases[0]), cases[0].domain).term_lo == ()
 
     def test_dimension_mismatch(self):
         net, _ = build_square(2)
