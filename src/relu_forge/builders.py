@@ -192,27 +192,21 @@ def build_square(L: int):
     box = Box.symmetric(1)
     first_w = np.array([[1.0], [-1.0]])
     first_b = np.zeros(2)
-    hidden_wx, hidden_wy, hidden_b = [], [], []
+    # layer 2 sums the pair; each later layer applies the tent map
+    hidden_wy = np.tile([[2.0, -4.0], [2.0, -4.0]], (L - 1, 1, 1))
+    hidden_wy[:1] = 1.0
     beta = np.zeros((L, 2))
     beta[0] = (1.0, 1.0)
-    if L >= 2:
-        hidden_wx.append(np.zeros((2, 1)))
-        hidden_wy.append(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        hidden_b.append(np.array([0.0, -0.5]))
-        for _ in range(3, L + 1):
-            hidden_wx.append(np.zeros((2, 1)))
-            hidden_wy.append(np.array([[2.0, -4.0], [2.0, -4.0]]))
-            hidden_b.append(np.array([0.0, -0.5]))
-        for l in range(1, L):
-            scale = 4.0 ** (-l)
-            beta[l] = (-2.0 * scale, 4.0 * scale)
+    for l in range(1, L):
+        scale = 4.0 ** (-l)
+        beta[l] = (-2.0 * scale, 4.0 * scale)
     net = SkipNet(
         input_dim=1,
         first_w=first_w,
         first_b=first_b,
-        hidden_wx=tuple(hidden_wx),
-        hidden_wy=tuple(hidden_wy),
-        hidden_b=tuple(hidden_b),
+        hidden_wx=np.zeros((L - 1, 2, 1)),
+        hidden_wy=hidden_wy,
+        hidden_b=np.tile([0.0, -0.5], (L - 1, 1)),
         out_a0=0.0,
         out_a=np.zeros(1),
         out_beta=beta,

@@ -14,8 +14,10 @@ recorded on the result's ``shifts`` metadata.
 Ranges have one source: ``nets.interval_bounds``, whose ``term_lo`` bounds
 each hidden layer's output term, and ``nets._affine_range`` for affine forms
 over the box (the output head, shallow units). Shifts have one rule,
-``_shifts``: a running partial is the sum of its terms taken in order, and
-its shift is ``max(0, -lo)`` of that sum's lower bound.
+``_shift``: a value with lower bound ``lo`` is shifted by ``max(0, -lo)``.
+``_shifts`` applies it to running partials, each the sum of its terms taken
+in order; the input carries of ``skip_to_standard`` and ``wide_to_deep``
+apply it to the box's lower ends.
 """
 
 from __future__ import annotations
@@ -71,13 +73,21 @@ def _head_lo(f: SkipNet) -> float:
     return f.out_a0 + float(_affine_range(f.out_a, 0.0, f.domain.lo, f.domain.hi)[0])
 
 
+def _shift(lo) -> list:
+    """Positivity shift ``max(0, -lo)`` of each lower bound in ``lo``.
+
+    Python's ``max`` keeps a zero shift +0.0, where ``np.maximum(0.0, -0.0)``
+    is -0.0.
+    """
+    return [max(0.0, -v) for v in np.asarray(lo, dtype=float).tolist()]
+
+
 def _shifts(base: float, terms_lo) -> list:
     """Positivity shift of each running partial ``base + t_0 + .. + t_k``.
 
-    ``terms_lo`` are lower bounds of the terms, summed left to right. Python's
-    ``max`` keeps a zero shift +0.0, where ``np.maximum(0.0, -0.0)`` is -0.0.
+    ``terms_lo`` are lower bounds of the terms, summed left to right.
     """
-    return [max(0.0, -lo) for lo in (base + np.cumsum(terms_lo)).tolist()]
+    return _shift(base + np.cumsum(terms_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +131,14 @@ def add(f1: SkipNet, f2: SkipNet, alpha1: float, alpha2: float) -> SkipNet:
         f1.width == f2.width,
         f"widths differ ({f1.width} vs {f2.width}); pad_width the narrower operand",
     )
-    width = f1.width
     # f2's first layer becomes an interior layer that still reads only x.
-    bridge_wx = f2.first_w
-    bridge_wy = np.zeros((width, width))
-    bridge_b = f2.first_b
     return SkipNet(
         input_dim=f1.input_dim,
         first_w=f1.first_w,
         first_b=f1.first_b,
-        hidden_wx=f1.hidden_wx + (bridge_wx,) + f2.hidden_wx,
-        hidden_wy=f1.hidden_wy + (bridge_wy,) + f2.hidden_wy,
-        hidden_b=f1.hidden_b + (bridge_b,) + f2.hidden_b,
+        hidden_wx=np.concatenate([f1.hidden_wx, f2.first_w[None], f2.hidden_wx]),
+        hidden_wy=np.concatenate([f1.hidden_wy, np.zeros((1, f1.width, f1.width)), f2.hidden_wy]),
+        hidden_b=np.concatenate([f1.hidden_b, f2.first_b[None], f2.hidden_b]),
         out_a0=alpha1 * f1.out_a0 + alpha2 * f2.out_a0,
         out_a=alpha1 * f1.out_a + alpha2 * f2.out_a,
         out_beta=np.vstack([alpha1 * f1.out_beta, alpha2 * f2.out_beta]),
@@ -157,30 +163,17 @@ def pad_width(f: SkipNet, new_width: int) -> SkipNet:
         raise StructuralError(f"cannot pad width {f.width} down to {new_width}")
     if new_width == f.width:
         return f
-    extra = new_width - f.width
-    d = f.input_dim
-
-    def grow_rows(a):
-        return np.vstack([a, np.zeros((extra, a.shape[1]))])
-
-    def grow_square(a):
-        out = np.zeros((new_width, new_width))
-        out[: f.width, : f.width] = a
-        return out
-
-    def grow_vec(v):
-        return np.concatenate([v, np.zeros(extra)])
-
+    extra = (0, new_width - f.width)
     return SkipNet(
-        input_dim=d,
-        first_w=grow_rows(f.first_w),
-        first_b=grow_vec(f.first_b),
-        hidden_wx=tuple(grow_rows(a) for a in f.hidden_wx),
-        hidden_wy=tuple(grow_square(a) for a in f.hidden_wy),
-        hidden_b=tuple(grow_vec(v) for v in f.hidden_b),
+        input_dim=f.input_dim,
+        first_w=np.pad(f.first_w, [extra, (0, 0)]),
+        first_b=np.pad(f.first_b, extra),
+        hidden_wx=np.pad(f.hidden_wx, [(0, 0), extra, (0, 0)]),
+        hidden_wy=np.pad(f.hidden_wy, [(0, 0), extra, extra]),
+        hidden_b=np.pad(f.hidden_b, [(0, 0), extra]),
         out_a0=f.out_a0,
         out_a=f.out_a,
-        out_beta=np.hstack([f.out_beta, np.zeros((f.depth, extra))]),
+        out_beta=np.pad(f.out_beta, [(0, 0), extra]),
         domain=f.domain,
         shifts=f.shifts,
     )
@@ -201,11 +194,9 @@ def substitute_inputs(f: SkipNet, T, offset, new_domain: Box) -> SkipNet:
         input_dim=new_domain.dim,
         first_w=f.first_w @ T,
         first_b=f.first_b + f.first_w @ offset,
-        hidden_wx=tuple(wx @ T for wx in f.hidden_wx),
+        hidden_wx=f.hidden_wx @ T,
         hidden_wy=f.hidden_wy,
-        hidden_b=tuple(
-            b + wx @ offset for wx, b in zip(f.hidden_wx, f.hidden_b)
-        ),
+        hidden_b=f.hidden_b + f.hidden_wx @ offset,
         out_a0=f.out_a0 + float(f.out_a @ offset),
         out_a=f.out_a @ T,
         out_beta=f.out_beta,
@@ -229,11 +220,9 @@ def _fold_affine_inner(f2: SkipNet, f1: SkipNet) -> SkipNet:
         input_dim=d,
         first_w=f2.first_w[:, 1:] + np.outer(f2.first_w[:, 0], a),
         first_b=f2.first_b + f2.first_w[:, 0] * a0,
-        hidden_wx=tuple(wx[:, 1:] + np.outer(wx[:, 0], a) for wx in f2.hidden_wx),
+        hidden_wx=f2.hidden_wx[:, :, 1:] + f2.hidden_wx[:, :, :1] * a,
         hidden_wy=f2.hidden_wy,
-        hidden_b=tuple(
-            b + wx[:, 0] * a0 for wx, b in zip(f2.hidden_wx, f2.hidden_b)
-        ),
+        hidden_b=f2.hidden_b + f2.hidden_wx[:, :, 0] * a0,
         out_a0=f2.out_a0 + float(f2.out_a[0]) * a0,
         out_a=f2.out_a[1:] + float(f2.out_a[0]) * a,
         out_beta=f2.out_beta,
@@ -250,9 +239,7 @@ def _find_accumulator_channel(f: SkipNet, first: int) -> int | None:
     change any surviving value. Highest index wins, matching where padding
     puts dead units.
     """
-    w = f.width
-    wy = np.array(f.hidden_wy[first + 1 :]).reshape(-1, w, w)
-    read = ((wy != 0.0) & ~np.eye(w, dtype=bool)).any(axis=(0, 1))
+    read = ((f.hidden_wy[first + 1 :] != 0.0) & ~np.eye(f.width, dtype=bool)).any(axis=(0, 1))
     used = (f.out_beta[first + 1 :] != 0.0).any(axis=0)
     free = np.flatnonzero(~(read | used))
     return int(free[-1]) if free.size else None
@@ -282,20 +269,7 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
     if f1.depth == 0:
         return _fold_affine_inner(f2, f1)
     if f2.depth == 0:
-        ay = float(f2.out_a[0])
-        return SkipNet(
-            input_dim=f1.input_dim,
-            first_w=f1.first_w,
-            first_b=f1.first_b,
-            hidden_wx=f1.hidden_wx,
-            hidden_wy=f1.hidden_wy,
-            hidden_b=f1.hidden_b,
-            out_a0=f2.out_a0 + ay * f1.out_a0,
-            out_a=f2.out_a[1:] + ay * f1.out_a,
-            out_beta=ay * f1.out_beta,
-            domain=f1.domain,
-            shifts=f1.shifts,
-        )
+        return add(f1, affine_net(f2.out_a0, f2.out_a[1:], f1.domain), float(f2.out_a[0]), 1.0)
     _require(
         f2.width == f1.width - 1,
         f"outer width must be {f1.width - 1} (inner width minus one), has {f2.width}",
@@ -327,44 +301,42 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
     e_coeffs = f1.out_beta[-1].copy() if support.size else np.zeros(W)
     e_const = f1.out_a0
 
+    # Hidden layers: f1's L1 - 1, the boundary layer, then f2's L2 - 1.
+    n = L1 + L2 - 1
+    wx, wy, b = np.zeros((n, W, d)), np.zeros((n, W, W)), np.zeros((n, W))
+    wx[: L1 - 1], wy[: L1 - 1], b[: L1 - 1] = f1.hidden_wx, f1.hidden_wy, f1.hidden_b
+
     # Thread the running output partial through the free channel; the
     # layers before it are f1's own.
-    hidden_wx, hidden_wy, hidden_b = list(f1.hidden_wx), list(f1.hidden_wy), list(f1.hidden_b)
     if first < L1 - 1:
-        wx = np.array(f1.hidden_wx[first:])
-        wy = np.array(f1.hidden_wy[first:])
-        b = np.array(f1.hidden_b[first:])
-        wx[:, acc] = 0.0
-        wy[:, acc] = f1.out_beta[first:-1]
-        wy[1:, acc, acc] += 1.0
-        b[:, acc] = np.diff(acc_shift[first:])
-        hidden_wx[first:], hidden_wy[first:], hidden_b[first:] = wx, wy, b
+        wx[first : L1 - 1, acc] = 0.0
+        wy[first : L1 - 1, acc] = f1.out_beta[first:-1]
+        wy[first + 1 : L1 - 1, acc, acc] += 1.0
+        b[first : L1 - 1, acc] = np.diff(acc_shift[first:])
         e_coeffs[acc] = 1.0
         e_const = f1.out_a0 - acc_shift[-1]
 
     # Stage t = 2 .. L2 of f2, and its output as stage L2 + 1, read the inner
     # value through the carry, which lives on stages 1 .. carry_alive.
-    wx2 = np.array(f2.hidden_wx).reshape(L2 - 1, M, d + 1)
-    readers = np.flatnonzero(np.append((wx2[:, :, 0] != 0.0).any(axis=1), f2.out_a[0] != 0.0))
+    inner_w = f2.hidden_wx[:, :, 0]
+    readers = np.flatnonzero(np.append((inner_w != 0.0).any(axis=1), f2.out_a[0] != 0.0))
     carry_alive = int(readers[-1]) + 1 if readers.size else 0
     new_shifts = acc_shift[first + 1 :] + ([carry_shift] if carry_alive > 0 else [])
 
     # Boundary layer: f2's first layer plus the carry channel.
     c = f2.first_w[:, 0]
-    wx_b, wy_b, b_b = np.zeros((W, d)), np.zeros((W, W)), np.zeros(W)
-    wy_b[:M] = c[:, None] * e_coeffs
-    wx_b[:M] = f2.first_w[:, 1:] + c[:, None] * f1.out_a
-    b_b[:M] = f2.first_b + c * e_const
+    wy[L1 - 1, :M] = c[:, None] * e_coeffs
+    wx[L1 - 1, :M] = f2.first_w[:, 1:] + c[:, None] * f1.out_a
+    b[L1 - 1, :M] = f2.first_b + c * e_const
     if carry_alive > 0:
-        wy_b[M], wx_b[M], b_b[M] = e_coeffs, f1.out_a, e_const + carry_shift
+        wy[L1 - 1, M], wx[L1 - 1, M], b[L1 - 1, M] = e_coeffs, f1.out_a, e_const + carry_shift
 
     # Remaining f2 stages, rewired to the carry channel.
-    wx_s, wy_s, b_s = np.zeros((L2 - 1, W, d)), np.zeros((L2 - 1, W, W)), np.zeros((L2 - 1, W))
-    wx_s[:, :M] = wx2[:, :, 1:]
-    wy_s[:, :M, :M] = np.array(f2.hidden_wy).reshape(L2 - 1, M, M)
-    wy_s[:, :M, M] = wx2[:, :, 0]
-    wy_s[:, M, M] = np.arange(2, L2 + 1) <= carry_alive
-    b_s[:, :M] = np.array(f2.hidden_b).reshape(L2 - 1, M) - wx2[:, :, 0] * carry_shift
+    wx[L1:, :M] = f2.hidden_wx[:, :, 1:]
+    wy[L1:, :M, :M] = f2.hidden_wy
+    wy[L1:, :M, M] = inner_w
+    wy[L1:, M, M] = np.arange(2, L2 + 1) <= carry_alive
+    b[L1:, :M] = f2.hidden_b - inner_w * carry_shift
 
     out_beta = np.zeros((L1 + L2, W))
     out_beta[L1:, :M] = f2.out_beta
@@ -375,9 +347,9 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
         input_dim=d,
         first_w=f1.first_w,
         first_b=f1.first_b,
-        hidden_wx=(*hidden_wx, wx_b, *wx_s),
-        hidden_wy=(*hidden_wy, wy_b, *wy_s),
-        hidden_b=(*hidden_b, b_b, *b_s),
+        hidden_wx=wx,
+        hidden_wy=wy,
+        hidden_b=b,
         out_a0=f2.out_a0 - ay * carry_shift,
         out_a=f2.out_a[1:],
         out_beta=out_beta,
@@ -401,7 +373,7 @@ def skip_to_standard(f: SkipNet) -> StandardNet:
         raise ConversionError("depth-0 nets have no layers to convert")
     d, M, L = f.input_dim, f.width, f.depth
     rep = interval_bounds(f, f.domain)
-    cx = np.maximum(0.0, -f.domain.lo)
+    cx = np.array(_shift(f.domain.lo))
     # acc_shift[l] shifts the output partial over the head and layers 0 .. l-1
     acc_shift = _shifts(_head_lo(f), [0.0, *rep.term_lo[:-1]])
 
@@ -414,12 +386,11 @@ def skip_to_standard(f: SkipNet) -> StandardNet:
     b1[M : M + d] = cx
     W1[M + d] = f.out_a
     b1[M + d] = f.out_a0 + acc_shift[0]
-    wx = np.array(f.hidden_wx).reshape(L - 1, M, d)
     Wh = np.zeros((L - 1, width, width))
     bh = np.zeros((L - 1, width))
-    Wh[:, :M, :M] = np.array(f.hidden_wy).reshape(L - 1, M, M)
-    Wh[:, :M, M : M + d] = wx
-    bh[:, :M] = np.array(f.hidden_b).reshape(L - 1, M) - wx @ cx
+    Wh[:, :M, :M] = f.hidden_wy
+    Wh[:, :M, M : M + d] = f.hidden_wx
+    bh[:, :M] = f.hidden_b - f.hidden_wx @ cx
     Wh[:, M : M + d, M : M + d] = np.eye(d)
     Wh[:, M + d, :M] = f.out_beta[:-1]
     Wh[:, M + d, M + d] = 1.0
@@ -459,7 +430,7 @@ def wide_to_deep(s: ShallowNet, partition) -> StandardNet:
             f"partition sums to {sum(partition)}, net has {s.units} units"
         )
     d = s.input_dim
-    cx = np.maximum(0.0, -s.domain.lo)
+    cx = np.array(_shift(s.domain.lo))
     lo, hi = _affine_range(s.a, 0.0, s.domain.lo, s.domain.hi)
     unit_lo, unit_hi = np.maximum(lo + s.b, 0.0), np.maximum(hi + s.b, 0.0)
     ends = np.cumsum(partition).tolist()

@@ -6,7 +6,9 @@ Three network kinds are used throughout:
   input to every hidden layer and from every hidden unit to the output.
   The first hidden layer reads only the inputs; layer l+1 reads the inputs
   and layer l; the output is an affine map over the inputs and all hidden
-  units.
+  units. The layers after the first are stored stacked: ``hidden_wx`` is
+  (depth-1, width, input_dim), ``hidden_wy`` (depth-1, width, width) and
+  ``hidden_b`` (depth-1, width).
 * ``StandardNet``: a plain feedforward net where layer l reads only layer
   l-1 and the output reads only the last hidden layer. Layer widths may
   vary.
@@ -69,6 +71,17 @@ def _frozen_tuple(seq) -> tuple:
     return tuple(_frozen(a) for a in seq)
 
 
+def _stacked(name: str, layers, shape: tuple) -> np.ndarray:
+    """Read-only (layers, *shape) array from a stacked array or a sequence of
+    per-layer arrays; no layers gives a (0, *shape) array."""
+    if len(layers) == 0:
+        return _frozen(np.zeros((0, *shape)))
+    try:
+        return _frozen(layers)
+    except ValueError as exc:
+        raise StructuralError(f"{name}: hidden layers differ in shape") from exc
+
+
 # ---------------------------------------------------------------------------
 # Boxes
 
@@ -103,11 +116,6 @@ class Box:
             return False
         return bool((self.lo <= other.lo).all() and (other.hi <= self.hi).all())
 
-    def contains_points(self, X: np.ndarray, atol: float = 0.0) -> bool:
-        return bool(
-            (X >= self.lo - atol).all() and (X <= self.hi + atol).all()
-        )
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points drawn uniformly from the box, reproducible from rng."""
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
@@ -124,22 +132,25 @@ class Box:
 class SkipNet:
     """ReLU net with input skips to every layer and hidden skips to the output.
 
-    ``first_w`` is (width, input_dim) and ``first_b`` (width,). Each deeper
-    layer has ``wx`` (width, input_dim) over the inputs, ``wy`` (width, width)
-    over the previous layer, and a bias vector. The output map is
+    ``first_w`` is (width, input_dim) and ``first_b`` (width,). The deeper
+    layers are stacked: ``hidden_wx`` (depth-1, width, input_dim) weighs the
+    inputs, ``hidden_wy`` (depth-1, width, width) the previous layer, and
+    ``hidden_b`` (depth-1, width) holds the biases. The constructor also
+    takes a sequence of per-layer arrays and stacks it. The output map is
     ``out_a0 + out_a . x + sum(out_beta[l, m] * y[l, m])``.
 
-    A purely affine function is the depth-0 net: ``first_w is None`` and all
-    layer tuples are empty. ``shifts`` records positivity offsets introduced
-    by structural rewrites; it does not affect evaluation.
+    A purely affine function is the depth-0 net: ``first_w is None``, the
+    width is 0 and the stacked arrays have no layers. ``shifts`` records
+    positivity offsets introduced by structural rewrites; it does not affect
+    evaluation.
     """
 
     input_dim: int
     first_w: np.ndarray | None
     first_b: np.ndarray | None
-    hidden_wx: tuple
-    hidden_wy: tuple
-    hidden_b: tuple
+    hidden_wx: np.ndarray
+    hidden_wy: np.ndarray
+    hidden_b: np.ndarray
     out_a0: float
     out_a: np.ndarray
     out_beta: np.ndarray
@@ -150,9 +161,10 @@ class SkipNet:
         if self.first_w is not None:
             object.__setattr__(self, "first_w", _frozen(self.first_w))
             object.__setattr__(self, "first_b", _frozen(self.first_b))
-        object.__setattr__(self, "hidden_wx", _frozen_tuple(self.hidden_wx))
-        object.__setattr__(self, "hidden_wy", _frozen_tuple(self.hidden_wy))
-        object.__setattr__(self, "hidden_b", _frozen_tuple(self.hidden_b))
+        w, d = self.width, self.input_dim
+        object.__setattr__(self, "hidden_wx", _stacked("hidden_wx", self.hidden_wx, (w, d)))
+        object.__setattr__(self, "hidden_wy", _stacked("hidden_wy", self.hidden_wy, (w, w)))
+        object.__setattr__(self, "hidden_b", _stacked("hidden_b", self.hidden_b, (w,)))
         object.__setattr__(self, "out_a0", float(self.out_a0))
         object.__setattr__(self, "out_a", _frozen(self.out_a))
         object.__setattr__(self, "out_beta", _frozen(np.asarray(self.out_beta, dtype=float).reshape(self.depth, self.width)))
@@ -298,11 +310,11 @@ def _compile_skip(net: SkipNet) -> _Program:
     stages = [((), _split(nz, net.out_a[nz], [nz.size])[0])]
     if depth:
         banks = d + (np.arange(depth) % 2)[:, None] * w + np.arange(w)
-        wx = np.stack((net.first_w,) + net.hidden_wx)
-        wy = np.stack((np.zeros((w, w)),) + net.hidden_wy)
+        wx = np.concatenate([net.first_w[None], net.hidden_wx])
+        wy = np.concatenate([np.zeros((1, w, w)), net.hidden_wy])
         # layer l reads the inputs and the bank that layer l - 1 wrote
         src = np.hstack([np.broadcast_to(np.arange(d), (depth, d)), np.roll(banks, 1, axis=0)])
-        b = np.stack((net.first_b,) + net.hidden_b)
+        b = np.concatenate([net.first_b[None], net.hidden_b])
         l, m = np.nonzero(net.out_beta)
         outs = _split(banks[l, m], net.out_beta[l, m], np.bincount(l, minlength=depth))
         stages += zip(_layers(np.concatenate([wx, wy], axis=2), b, src, banks), outs)
@@ -420,21 +432,15 @@ def _validate_skip(net: SkipNet) -> list:
             p.append(f"first layer bias shape {net.first_b.shape} != ({width},)")
         _finite("first layer", net.first_w, p)
         _finite("first layer bias", net.first_b, p)
-        if not (len(net.hidden_wx) == len(net.hidden_wy) == len(net.hidden_b) == depth - 1):
-            p.append(
-                f"hidden layer count {len(net.hidden_b)} inconsistent with depth {depth}"
-            )
-        for i, (wx, wy, b) in enumerate(zip(net.hidden_wx, net.hidden_wy, net.hidden_b)):
-            layer = i + 2
-            if wx.shape != (width, d):
-                p.append(f"layer {layer} input-weight shape {wx.shape} != ({width}, {d})")
-            if wy.shape != (width, width):
-                p.append(f"layer {layer} recurrent-weight shape {wy.shape} != ({width}, {width})")
-            if b.shape != (width,):
-                p.append(f"layer {layer} bias shape {b.shape} != ({width},)")
-            _finite(f"layer {layer}", wx, p)
-            _finite(f"layer {layer}", wy, p)
-            _finite(f"layer {layer} bias", b, p)
+        for name, arr, shape in (
+            ("input-weight", net.hidden_wx, (depth - 1, width, d)),
+            ("recurrent-weight", net.hidden_wy, (depth - 1, width, width)),
+            ("bias", net.hidden_b, (depth - 1, width)),
+        ):
+            if arr.shape != shape:
+                p.append(f"hidden {name} shape {arr.shape} != {shape}")
+            finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            p += [f"non-finite {name} in layer {i + 2}" for i in np.flatnonzero(~finite)]
     if net.out_a.shape != (d,):
         p.append(f"output input-coefficient shape {net.out_a.shape} != ({d},)")
     if net.out_beta.shape != (depth, width):
@@ -544,31 +550,30 @@ def interval_bounds(net, box: Box) -> IntervalReport:
     """
     if box.dim != net.input_dim:
         raise InputError(f"box dimension {box.dim} != input_dim {net.input_dim}")
-    pre_lo, pre_hi, post_lo, post_hi, term_lo = [], [], [], [], []
+    pre_lo, pre_hi, post_lo, post_hi, term_lo, term_hi = [], [], [], [], [], []
     if isinstance(net, SkipNet):
         if net.depth > 0:
+            # the input part of every hidden layer at once; the bias 0.0 and
+            # adding the previous-layer part after it keep the per-layer bits
+            xlo, xhi = _affine_range(net.hidden_wx, 0.0, box.lo, box.hi)
             lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
-            pre_lo.append(lo)
-            pre_hi.append(hi)
-            post_lo.append(np.maximum(lo, 0.0))
-            post_hi.append(np.maximum(hi, 0.0))
-            for wx, wy, b in zip(net.hidden_wx, net.hidden_wy, net.hidden_b):
-                xlo, xhi = _affine_range(wx, np.zeros_like(b), box.lo, box.hi)
-                ylo, yhi = _affine_range(wy, b, post_lo[-1], post_hi[-1])
-                lo, hi = xlo + ylo, xhi + yhi
+            for l in range(net.depth):
+                if l:
+                    ylo, yhi = _affine_range(
+                        net.hidden_wy[l - 1], net.hidden_b[l - 1], post_lo[-1], post_hi[-1]
+                    )
+                    lo, hi = xlo[l - 1] + ylo, xhi[l - 1] + yhi
                 pre_lo.append(lo)
                 pre_hi.append(hi)
                 post_lo.append(np.maximum(lo, 0.0))
                 post_hi.append(np.maximum(hi, 0.0))
+            ys = np.array(post_lo)[..., None], np.array(post_hi)[..., None]
+            tlo, thi = _affine_range(net.out_beta[:, None], 0.0, *ys)
+            term_lo, term_hi = tlo.ravel().tolist(), thi.ravel().tolist()
         olo, ohi = _affine_range(net.out_a.reshape(1, -1), np.array([net.out_a0]), box.lo, box.hi)
-        olo, ohi = float(olo[0]), float(ohi[0])
-        for l in range(net.depth):
-            blo, bhi = _affine_range(
-                net.out_beta[l].reshape(1, -1), np.zeros(1), post_lo[l], post_hi[l]
-            )
-            term_lo.append(float(blo[0]))
-            olo += term_lo[-1]
-            ohi += float(bhi[0])
+        # summed left to right, head first
+        olo = float(np.cumsum([olo[0], *term_lo])[-1])
+        ohi = float(np.cumsum([ohi[0], *term_hi])[-1])
     elif isinstance(net, StandardNet):
         lo_in, hi_in = box.lo, box.hi
         for W, b in zip(net.layer_w, net.layer_b):

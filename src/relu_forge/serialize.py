@@ -128,23 +128,20 @@ def _skip_from(doc: dict) -> SkipNet:
                 f"hidden layer {i + 2} stores {len(layer)} units, declared width {width}"
             )
     out = doc["output"]
+
+    def stacked(key, *shape):
+        units = [[u[key] for u in layer] for layer in hidden]
+        return np.array(units, dtype=float).reshape(len(hidden), width, *shape)
+
     return SkipNet(
         input_dim=d,
         first_w=np.array([u["w"] for u in first], dtype=float).reshape(len(first), d)
         if first
         else None,
         first_b=np.array([u["b"] for u in first], dtype=float) if first else None,
-        hidden_wx=tuple(
-            np.array([u["wx"] for u in layer], dtype=float).reshape(width, d)
-            for layer in hidden
-        ),
-        hidden_wy=tuple(
-            np.array([u["wy"] for u in layer], dtype=float).reshape(width, width)
-            for layer in hidden
-        ),
-        hidden_b=tuple(
-            np.array([u["b"] for u in layer], dtype=float) for layer in hidden
-        ),
+        hidden_wx=stacked("wx", d),
+        hidden_wy=stacked("wy", width),
+        hidden_b=stacked("b"),
         out_a0=float(out["a0"]),
         out_a=np.asarray(out["a"], dtype=float),
         out_beta=np.asarray(out["beta"], dtype=float).reshape(depth, width),

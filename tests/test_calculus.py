@@ -9,6 +9,7 @@ from relu_forge import (
     Box,
     NoFreeChannelError,
     PolySpec,
+    ShallowNet,
     StructuralError,
     add,
     affine_net,
@@ -25,6 +26,7 @@ from relu_forge import (
     eval_skip,
     eval_skip_batch,
     eval_standard_batch,
+    evaluate_batch,
     pad_width,
     preset_series,
     sigmoidal_to_relu,
@@ -270,6 +272,18 @@ class TestShifts:
     def test_pinned_values(self):
         assert build_monomial([1, 1, 2], 1, 2)[0].shifts == (0.0, 1.0, 2.0)
         assert skip_to_standard(build_square(3)[0]).shifts == (1.0, 0.0, 0.0, 1.0)
+
+    def test_input_carry_on_axis_with_zero_lower_end(self, rng):
+        box = Box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+        skip = substitute_inputs(build_multiply(2)[0], np.eye(2), np.zeros(2), box)
+        shallow = ShallowNet(2, rng.normal(size=(5, 2)), rng.normal(size=5),
+                             rng.normal(size=5), float(rng.normal()), "relu", box)
+        X = box.sample(2000, rng)
+        pairs = ((skip, skip_to_standard(skip)), (shallow, wide_to_deep(shallow, [2, 3])))
+        for source, rewritten in pairs:
+            self.assert_positive(rewritten.shifts)
+            dev = np.abs(evaluate_batch(rewritten, X) - evaluate_batch(source, X))
+            assert dev.max() <= 1e-12
 
 
 class TestSigmoidalToRelu:

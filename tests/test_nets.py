@@ -8,11 +8,15 @@ import pytest
 
 from relu_forge import (
     Box,
+    DocumentInvariantError,
     InputError,
     ShallowNet,
     SkipNet,
     StandardNet,
+    StructuralError,
     affine_net,
+    build_analytic,
+    build_monomial,
     build_multiply,
     build_square,
     eval_skip,
@@ -22,9 +26,11 @@ from relu_forge import (
     interval_bounds,
     nets,
     pad_width,
+    preset_series,
     skip_to_standard,
     validate,
 )
+from relu_forge.serialize import from_document, to_document
 
 from conftest import make_random_shallow, make_random_skip
 
@@ -79,6 +85,36 @@ def reference_forward(net, X):
             pres.append(layer(b, (wx, X), (wy, post)))
         accumulate(out, net.out_beta[-1], np.maximum(pres[-1], 0.0))
     return out, pres
+
+
+def reference_interval_bounds(net: SkipNet, box: Box) -> nets.IntervalReport:
+    """Per-layer interval propagation through a skip net, one layer at a time."""
+    affine_range = nets._affine_range
+    pre_lo, pre_hi, post_lo, post_hi, term_lo = [], [], [], [], []
+    if net.depth > 0:
+        lo, hi = affine_range(net.first_w, net.first_b, box.lo, box.hi)
+        pre_lo.append(lo)
+        pre_hi.append(hi)
+        post_lo.append(np.maximum(lo, 0.0))
+        post_hi.append(np.maximum(hi, 0.0))
+        for wx, wy, b in zip(net.hidden_wx, net.hidden_wy, net.hidden_b):
+            xlo, xhi = affine_range(wx, np.zeros_like(b), box.lo, box.hi)
+            ylo, yhi = affine_range(wy, b, post_lo[-1], post_hi[-1])
+            lo, hi = xlo + ylo, xhi + yhi
+            pre_lo.append(lo)
+            pre_hi.append(hi)
+            post_lo.append(np.maximum(lo, 0.0))
+            post_hi.append(np.maximum(hi, 0.0))
+    olo, ohi = affine_range(net.out_a.reshape(1, -1), np.array([net.out_a0]), box.lo, box.hi)
+    olo, ohi = float(olo[0]), float(ohi[0])
+    for l in range(net.depth):
+        blo, bhi = affine_range(net.out_beta[l].reshape(1, -1), np.zeros(1), post_lo[l], post_hi[l])
+        term_lo.append(float(blo[0]))
+        olo += term_lo[-1]
+        ohi += float(bhi[0])
+    return nets.IntervalReport(
+        tuple(pre_lo), tuple(pre_hi), tuple(post_lo), tuple(post_hi), olo, ohi, tuple(term_lo)
+    )
 
 
 def square_interpolant(x: float, L: int) -> float:
@@ -225,6 +261,26 @@ class TestValidate:
         )
         assert any("inconsistent" in p or "shape" in p for p in validate(bad))
 
+    def test_nan_in_hidden_layer_named(self):
+        net, _ = build_square(4)
+        wy = np.array(net.hidden_wy)
+        wy[1, 0, 1] = np.nan
+        bad = SkipNet(
+            input_dim=1,
+            first_w=net.first_w,
+            first_b=net.first_b,
+            hidden_wx=net.hidden_wx,
+            hidden_wy=wy,
+            hidden_b=net.hidden_b,
+            out_a0=net.out_a0,
+            out_a=net.out_a,
+            out_beta=net.out_beta,
+            domain=net.domain,
+        )
+        problems = validate(bad)
+        assert len(problems) == 1
+        assert "non-finite" in problems[0] and "layer 3" in problems[0]
+
     def test_standard_shape_chain_flagged(self):
         bad = StandardNet(
             input_dim=2,
@@ -314,6 +370,27 @@ class TestIntervalBounds:
         with pytest.raises(InputError):
             interval_bounds(net, Box.symmetric(2))
 
+    def test_matches_per_layer_reference_exactly(self, rng):
+        cases = [
+            build_square(4)[0],
+            build_multiply(3)[0],
+            build_monomial([1, 2, 3], 2, 3)[0],
+            build_analytic(preset_series("runge")[0], 1e-3, 0.25).net,
+        ] + [
+            make_random_skip(
+                int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 5)), rng
+            )
+            for _ in range(10)
+        ]
+        for net in cases:
+            got, want = interval_bounds(net, net.domain), reference_interval_bounds(net, net.domain)
+            for name in ("pre_lo", "pre_hi", "post_lo", "post_hi"):
+                assert [a.tobytes() for a in getattr(got, name)] == [
+                    a.tobytes() for a in getattr(want, name)
+                ], name
+            assert [v.hex() for v in got.term_lo] == [v.hex() for v in want.term_lo]
+            assert (got.out_lo.hex(), got.out_hi.hex()) == (want.out_lo.hex(), want.out_hi.hex())
+
     def test_standard_net_soundness(self, rng):
         from relu_forge.nets import eval_standard_batch
 
@@ -330,6 +407,50 @@ class TestIntervalBounds:
             layer = np.maximum(pre, 0.0)
         out = layer @ std.out_w + std.out_b
         assert (out >= rep.out_lo - 1e-12).all() and (out <= rep.out_hi + 1e-12).all()
+
+
+class TestSkipNetStorage:
+    """A skip net keeps its hidden layers as three stacked read-only arrays."""
+
+    def test_tuples_of_layers_are_stacked(self, rng):
+        for depth in range(1, 5):
+            d, w = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            net = make_random_skip(d, depth, w, rng)
+            for arr, shape in (
+                (net.hidden_wx, (depth - 1, w, d)),
+                (net.hidden_wy, (depth - 1, w, w)),
+                (net.hidden_b, (depth - 1, w)),
+            ):
+                assert isinstance(arr, np.ndarray) and arr.dtype == float
+                assert arr.shape == shape and not arr.flags.writeable
+
+    def test_affine_net_has_empty_stacks(self):
+        net = affine_net(0.5, [1.0, 2.0, 3.0], Box.symmetric(3))
+        assert net.width == 0
+        assert net.hidden_wx.shape == (0, 0, 3)
+        assert net.hidden_wy.shape == (0, 0, 0)
+        assert net.hidden_b.shape == (0, 0)
+
+    def test_ragged_layers_rejected(self):
+        with pytest.raises(StructuralError, match="hidden_wx"):
+            SkipNet(
+                input_dim=2,
+                first_w=np.zeros((3, 2)),
+                first_b=np.zeros(3),
+                hidden_wx=(np.zeros((3, 2)), np.zeros((3, 1))),
+                hidden_wy=(np.zeros((3, 3)), np.zeros((3, 3))),
+                hidden_b=(np.zeros(3), np.zeros(3)),
+                out_a0=0.0,
+                out_a=np.zeros(2),
+                out_beta=np.zeros((3, 3)),
+                domain=Box.symmetric(2),
+            )
+
+    def test_document_with_short_unit_rejected(self):
+        doc = to_document(build_multiply(2)[0])
+        doc["hidden_layers"][2][1]["wx"] = [0.5]
+        with pytest.raises(DocumentInvariantError):
+            from_document(doc)
 
 
 def sparse_skip(d, depth, width, rng) -> SkipNet:
