@@ -282,16 +282,14 @@ def _compose_grow(outer: SkipNet, inner: SkipNet) -> SkipNet:
     channel with the carried value while the stage's output coefficients are
     still live, so one extra unit of width is required from the fourth
     factor on; composition then alternates the freed channels and the width
-    stays put.
+    stays put. One retry is enough: a padded unit has no weights and no
+    output coefficient, so one more unit of width always frees a channel.
     """
     target = max(3, inner.width)
-    while True:
-        try:
-            return compose(pad_width(outer, target - 1), pad_width(inner, target))
-        except NoFreeChannelError:
-            target += 1
-            if target > inner.width + 4:
-                raise
+    try:
+        return compose(pad_width(outer, target - 1), pad_width(inner, target))
+    except NoFreeChannelError:
+        return compose(pad_width(outer, target), pad_width(inner, target + 1))
 
 
 def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):

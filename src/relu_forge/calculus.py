@@ -22,6 +22,8 @@ apply it to the box's lower ends.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import (
@@ -105,27 +107,14 @@ def add(f1: SkipNet, f2: SkipNet, alpha1: float, alpha2: float) -> SkipNet:
     _require(f1.input_dim == f2.input_dim, "input dimensions differ")
     _same_domain(f1, f2)
     alpha1, alpha2 = float(alpha1), float(alpha2)
-    if f1.depth == 0 and f2.depth == 0:
-        return affine_net(
-            alpha1 * f1.out_a0 + alpha2 * f2.out_a0,
-            alpha1 * f1.out_a + alpha2 * f2.out_a,
-            f1.domain,
-        )
     if f1.depth == 0 or f2.depth == 0:
         deep, a_deep = (f1, alpha1) if f1.depth > 0 else (f2, alpha2)
         flat, a_flat = (f2, alpha2) if f1.depth > 0 else (f1, alpha1)
-        return SkipNet(
-            input_dim=deep.input_dim,
-            first_w=deep.first_w,
-            first_b=deep.first_b,
-            hidden_wx=deep.hidden_wx,
-            hidden_wy=deep.hidden_wy,
-            hidden_b=deep.hidden_b,
+        return replace(
+            deep,
             out_a0=a_deep * deep.out_a0 + a_flat * flat.out_a0,
             out_a=a_deep * deep.out_a + a_flat * flat.out_a,
             out_beta=a_deep * deep.out_beta,
-            domain=deep.domain,
-            shifts=deep.shifts,
         )
     _require(
         f1.width == f2.width,
@@ -188,8 +177,6 @@ def substitute_inputs(f: SkipNet, T, offset, new_domain: Box) -> SkipNet:
     """
     T = np.asarray(T, dtype=float).reshape(f.input_dim, new_domain.dim)
     offset = np.asarray(offset, dtype=float).reshape(f.input_dim)
-    if f.depth == 0:
-        return affine_net(f.out_a0 + float(f.out_a @ offset), f.out_a @ T, new_domain)
     return SkipNet(
         input_dim=new_domain.dim,
         first_w=f.first_w @ T,
@@ -212,12 +199,8 @@ def substitute_inputs(f: SkipNet, T, offset, new_domain: Box) -> SkipNet:
 def _fold_affine_inner(f2: SkipNet, f1: SkipNet) -> SkipNet:
     """Compose when the inner net is affine: rewire f2's first input."""
     a, a0 = f1.out_a, f1.out_a0
-    d = f1.input_dim
-    if f2.depth == 0:
-        ay = float(f2.out_a[0])
-        return affine_net(f2.out_a0 + ay * a0, f2.out_a[1:] + ay * a, f1.domain)
     return SkipNet(
-        input_dim=d,
+        input_dim=f1.input_dim,
         first_w=f2.first_w[:, 1:] + np.outer(f2.first_w[:, 0], a),
         first_b=f2.first_b + f2.first_w[:, 0] * a0,
         hidden_wx=f2.hidden_wx[:, :, 1:] + f2.hidden_wx[:, :, :1] * a,

@@ -149,7 +149,10 @@ def _target_callable(name: str, input_dim: int):
             raise ParameterError(f"monomial factors out of range for dimension {input_dim}")
         return lambda X: np.prod(X[:, idx], axis=1)
     if name.startswith("poly:"):
-        return _parse_poly(name.split(":", 1)[1])
+        spec = _parse_poly(name.split(":", 1)[1])
+        if spec.input_dim > input_dim:
+            raise ParameterError(f"polynomial has more variables than dimension {input_dim}")
+        return spec
     if name in PRESET_NAMES:
         _, ref = preset_series(name)
         return lambda X: ref(X[:, 0])
@@ -228,14 +231,12 @@ def _cmd_build(args) -> int:
             net, cert = build_polynomial(
                 _parse_poly(args.coeffs), args.depth, clamp=args.clamp
             )
-    elif kind == "analytic":
+    else:  # analytic
         if args.eps is None or args.delta is None:
             raise ParameterError("build analytic requires --eps and --delta")
         series, _ = preset_series(args.preset)
         result = build_analytic(series, args.eps, args.delta, clamp=args.clamp)
         net, cert = result.net, result.certificate
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown build kind {kind!r}")
     _write_text(args.output, serialize_net(net, cert))
     print(f"wrote {args.output} (depth={net.depth}, width={net.width}, bound={cert.bound!r})")
     return 0
@@ -253,12 +254,10 @@ def _cmd_convert(args) -> int:
         if not args.partition:
             raise ParameterError("wide2deep requires --partition m1,m2,..")
         out = wide_to_deep(net, _parse_ints(args.partition))
-    elif args.how == "sig2relu":
+    else:  # sig2relu
         if not isinstance(net, ShallowNet):
             raise ParameterError("sig2relu expects a shallow-kind document")
         out = sigmoidal_to_relu(net)
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown conversion {args.how!r}")
     _write_text(args.output, serialize_net(out, cert))
     print(f"wrote {args.output}")
     return 0

@@ -61,7 +61,7 @@ SIGMOIDAL_ACTIVATION = "sigmoidal-step"
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
-    """Contiguous read-only float array."""
+    """Contiguous read-only float array; ``a`` itself, frozen, if it is one."""
     arr = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     arr.setflags(write=False)
     return arr
@@ -88,7 +88,11 @@ def _stacked(name: str, layers, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned closed box with finite endpoints and lo < hi per axis."""
+    """Axis-aligned closed box with finite endpoints and lo < hi per axis.
+
+    Contiguous float arrays passed in are frozen and shared; pass a copy to
+    keep editing one.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -136,18 +140,19 @@ class SkipNet:
     layers are stacked: ``hidden_wx`` (depth-1, width, input_dim) weighs the
     inputs, ``hidden_wy`` (depth-1, width, width) the previous layer, and
     ``hidden_b`` (depth-1, width) holds the biases. The constructor also
-    takes a sequence of per-layer arrays and stacks it. The output map is
-    ``out_a0 + out_a . x + sum(out_beta[l, m] * y[l, m])``.
+    takes a sequence of per-layer arrays and stacks it; contiguous float arrays
+    passed in are frozen and shared, so pass a copy to keep editing one. The
+    output map is ``out_a0 + out_a . x + sum(out_beta[l, m] * y[l, m])``.
 
-    A purely affine function is the depth-0 net: ``first_w is None``, the
-    width is 0 and the stacked arrays have no layers. ``shifts`` records
-    positivity offsets introduced by structural rewrites; it does not affect
-    evaluation.
+    A purely affine function is the depth-0 net that ``affine_net`` makes:
+    width 0, ``first_w`` (0, input_dim), ``first_b`` (0,) and stacked arrays
+    with no layers. ``shifts`` records positivity offsets introduced by
+    structural rewrites; it does not affect evaluation.
     """
 
     input_dim: int
-    first_w: np.ndarray | None
-    first_b: np.ndarray | None
+    first_w: np.ndarray
+    first_b: np.ndarray
     hidden_wx: np.ndarray
     hidden_wy: np.ndarray
     hidden_b: np.ndarray
@@ -158,9 +163,10 @@ class SkipNet:
     shifts: tuple = field(default=())
 
     def __post_init__(self):
-        if self.first_w is not None:
-            object.__setattr__(self, "first_w", _frozen(self.first_w))
-            object.__setattr__(self, "first_b", _frozen(self.first_b))
+        object.__setattr__(self, "first_w", _frozen(self.first_w))
+        object.__setattr__(self, "first_b", _frozen(self.first_b))
+        if self.first_w.ndim != 2:
+            raise StructuralError("first_w must be 2-d; affine_net builds the depth-0 net")
         w, d = self.width, self.input_dim
         object.__setattr__(self, "hidden_wx", _stacked("hidden_wx", self.hidden_wx, (w, d)))
         object.__setattr__(self, "hidden_wy", _stacked("hidden_wy", self.hidden_wy, (w, w)))
@@ -173,14 +179,10 @@ class SkipNet:
     @property
     def depth(self) -> int:
         """Number of hidden layers. The output affine map is not a layer."""
-        if self.first_w is None:
-            return 0
-        return 1 + len(self.hidden_b)
+        return 1 + len(self.hidden_b) if self.width else 0
 
     @property
     def width(self) -> int:
-        if self.first_w is None:
-            return 0
         return self.first_w.shape[0]
 
 
@@ -189,8 +191,8 @@ def affine_net(a0: float, a, domain: Box) -> SkipNet:
     a = np.asarray(a, dtype=float)
     return SkipNet(
         input_dim=domain.dim,
-        first_w=None,
-        first_b=None,
+        first_w=np.zeros((0, domain.dim)),
+        first_b=np.zeros(0),
         hidden_wx=(),
         hidden_wy=(),
         hidden_b=(),
@@ -207,6 +209,8 @@ class StandardNet:
 
     ``layer_w[l]`` has shape (width_l, width_{l-1}) with width_{-1} equal to
     the input dimension. The output is ``out_w . h_last + out_b``.
+    Contiguous float arrays passed in are frozen and shared; pass a copy to
+    keep editing one.
     """
 
     input_dim: int
@@ -238,7 +242,8 @@ class ShallowNet:
     """One-hidden-layer net ``c0 + sum_j c[j] * act(a[j] . x + b[j])``.
 
     ``activation`` is ``"relu"`` or ``"sigmoidal-step"``, the bounded ramp
-    ``act(z) = ReLU(z) - ReLU(z - 1)``.
+    ``act(z) = ReLU(z) - ReLU(z - 1)``. Contiguous float arrays passed in
+    are frozen and shared; pass a copy to keep editing one.
     """
 
     input_dim: int

@@ -45,25 +45,21 @@ def to_document(net, certificate: BoundCertificate | None = None) -> dict:
         doc["depth"] = net.depth
         doc["width"] = net.width
         doc["domain"] = net.domain.as_pairs()
-        if net.depth == 0:
-            doc["first_layer"] = []
-            doc["hidden_layers"] = []
-        else:
-            doc["first_layer"] = [
-                {"w": _floats(net.first_w[m]), "b": float(net.first_b[m])}
+        doc["first_layer"] = [
+            {"w": _floats(net.first_w[m]), "b": float(net.first_b[m])}
+            for m in range(net.width)
+        ]
+        doc["hidden_layers"] = [
+            [
+                {
+                    "wx": _floats(wx[m]),
+                    "wy": _floats(wy[m]),
+                    "b": float(b[m]),
+                }
                 for m in range(net.width)
             ]
-            doc["hidden_layers"] = [
-                [
-                    {
-                        "wx": _floats(wx[m]),
-                        "wy": _floats(wy[m]),
-                        "b": float(b[m]),
-                    }
-                    for m in range(net.width)
-                ]
-                for wx, wy, b in zip(net.hidden_wx, net.hidden_wy, net.hidden_b)
-            ]
+            for wx, wy, b in zip(net.hidden_wx, net.hidden_wy, net.hidden_b)
+        ]
         doc["output"] = {
             "a0": float(net.out_a0),
             "a": _floats(net.out_a),
@@ -135,10 +131,8 @@ def _skip_from(doc: dict) -> SkipNet:
 
     return SkipNet(
         input_dim=d,
-        first_w=np.array([u["w"] for u in first], dtype=float).reshape(len(first), d)
-        if first
-        else None,
-        first_b=np.array([u["b"] for u in first], dtype=float) if first else None,
+        first_w=np.array([u["w"] for u in first], dtype=float).reshape(len(first), d),
+        first_b=np.array([u["b"] for u in first], dtype=float),
         hidden_wx=stacked("wx", d),
         hidden_wy=stacked("wy", width),
         hidden_b=stacked("b"),

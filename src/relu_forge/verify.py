@@ -95,6 +95,8 @@ def strategy_points(box: Box, strategy) -> np.ndarray:
     elif isinstance(strategy, RandomPoints):
         if strategy.count < 1:
             raise ParameterError("random strategy needs at least one point")
+        if strategy.seed < 0:
+            raise ParameterError("random strategy needs a non-negative seed")
         rng = np.random.default_rng(strategy.seed)
         return box.sample(strategy.count, rng)
     else:

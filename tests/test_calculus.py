@@ -10,6 +10,7 @@ from relu_forge import (
     NoFreeChannelError,
     PolySpec,
     ShallowNet,
+    SkipNet,
     StructuralError,
     add,
     affine_net,
@@ -21,6 +22,7 @@ from relu_forge import (
     compose,
     count_params,
     count_params_standard,
+    deserialize_net,
     equivalence_check,
     eval_shallow_batch,
     eval_skip,
@@ -29,6 +31,7 @@ from relu_forge import (
     evaluate_batch,
     pad_width,
     preset_series,
+    serialize_net,
     sigmoidal_to_relu,
     skip_to_standard,
     substitute_inputs,
@@ -83,6 +86,74 @@ class TestAdd:
         X = f.domain.sample(300, rng)
         resid = eval_skip_batch(s, X) - 2.0 * eval_skip_batch(f, X) - 3.0 * eval_skip_batch(aff, X)
         assert np.abs(resid).max() <= 1e-12
+
+
+def affine_reference(a0, a, X):
+    """``a0 + a . x`` summed left to right, one rounding per multiply and add."""
+    acc = np.full(len(X), a0)
+    for i, ai in enumerate(a):
+        acc = acc + ai * X[:, i]
+    return acc
+
+
+class TestDepthZero:
+    """The depth-0 (affine) net and every rewrite that keeps a net affine."""
+
+    def check_affine(self, net, a0, a, rng):
+        assert net.depth == 0 and validate(net) == []
+        assert np.float64(net.out_a0).tobytes() == np.float64(a0).tobytes()
+        assert net.out_a.tobytes() == np.asarray(a, dtype=float).tobytes()
+        X = net.domain.sample(200, rng)
+        np.testing.assert_array_equal(evaluate_batch(net, X), affine_reference(a0, a, X))
+
+    def random_affine(self, d, rng):
+        return affine_net(rng.normal(), rng.normal(size=d), Box.symmetric(d))
+
+    def test_affine_net_stores_empty_first_layer(self):
+        net = affine_net(0.5, [1.0, -2.0, 0.25], Box.symmetric(3))
+        assert net.width == 0 and net.depth == 0
+        assert net.first_w.shape == (0, 3) and net.first_b.shape == (0,)
+        assert not net.first_w.flags.writeable and not net.first_b.flags.writeable
+
+    def test_none_first_layer_rejected(self):
+        with pytest.raises(StructuralError, match="affine_net"):
+            SkipNet(
+                input_dim=2,
+                first_w=None,
+                first_b=None,
+                hidden_wx=(),
+                hidden_wy=(),
+                hidden_b=(),
+                out_a0=0.0,
+                out_a=np.zeros(2),
+                out_beta=np.zeros((0, 0)),
+                domain=Box.symmetric(2),
+            )
+
+    def test_add_of_two_affine_nets(self, rng):
+        f1, f2 = self.random_affine(3, rng), self.random_affine(3, rng)
+        s = add(f1, f2, 1.5, -0.75)
+        self.check_affine(
+            s, 1.5 * f1.out_a0 + -0.75 * f2.out_a0, 1.5 * f1.out_a + -0.75 * f2.out_a, rng
+        )
+
+    def test_substitute_inputs(self, rng):
+        f = self.random_affine(3, rng)
+        T, offset = rng.normal(size=(3, 2)), rng.normal(size=3)
+        s = substitute_inputs(f, T, offset, Box.symmetric(2))
+        assert s.input_dim == 2
+        self.check_affine(s, f.out_a0 + float(f.out_a @ offset), f.out_a @ T, rng)
+
+    def test_compose_two_affine_nets(self, rng):
+        f2, f1 = self.random_affine(3, rng), self.random_affine(2, rng)
+        c = compose(f2, f1)
+        ay = float(f2.out_a[0])
+        self.check_affine(c, f2.out_a0 + ay * f1.out_a0, f2.out_a[1:] + ay * f1.out_a, rng)
+
+    def test_serialize_round_trip(self, rng):
+        f = self.random_affine(2, rng)
+        back, _ = deserialize_net(serialize_net(f))
+        self.check_affine(back, f.out_a0, f.out_a, rng)
 
 
 class TestCompose:

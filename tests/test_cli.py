@@ -188,3 +188,17 @@ class TestErrorPaths:
         out = tmp_path / "net.json"
         run(["build", "square", "--depth", 2, "-o", out])
         assert run(["verify", "-i", out, "--target", "square", "--strategy", "grid:9"]) == 2
+
+    def test_poly_target_with_more_variables_than_inputs(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        capsys.readouterr()
+        assert run(["verify", "-i", out, "--target", "poly:0,1:1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_random_seed(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        capsys.readouterr()
+        assert run(["verify", "-i", out, "--target", "square", "--strategy", "random:10:-1"]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -48,6 +48,10 @@ class TestStrategies:
         with pytest.raises(ParameterError):
             strategy_points(Box.symmetric(1), RandomPoints(0, 1))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            strategy_points(Box.symmetric(1), RandomPoints(10, -1))
+
 
 class TestSupError:
     def test_square_dyadic_argmax(self):
