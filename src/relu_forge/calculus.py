@@ -12,12 +12,16 @@ every consumer subtracts ``c`` through its bias. All shift constants are
 recorded on the result's ``shifts`` metadata.
 
 Ranges have one source: ``nets.interval_bounds``, whose ``term_lo`` bounds
-each hidden layer's output term, and ``nets._affine_range`` for affine forms
-over the box (the output head, shallow units). Shifts have one rule,
-``_shift``: a value with lower bound ``lo`` is shifted by ``max(0, -lo)``.
-``_shifts`` applies it to running partials, each the sum of its terms taken
-in order; the input carries of ``skip_to_standard`` and ``wide_to_deep``
-apply it to the box's lower ends.
+each hidden layer's output term, and ``nets._affine_range`` for the output
+head over the box. Shifts have one rule, ``_shift``: a value with lower
+bound ``lo`` is shifted by ``max(0, -lo)``. ``_shifts`` applies it to
+running partials, each the sum of its terms taken in order.
+
+One function lays out the standard form: ``skip_to_standard`` alone builds
+input-carry and accumulator channels, which hold the box's lower ends and
+the output partial shifted. ``wide_to_deep`` relayers a shallow net as a
+skip net and goes through it. ``compose`` threads its partial through a
+free channel of the inner net instead and adds no channel.
 """
 
 from __future__ import annotations
@@ -399,9 +403,13 @@ def skip_to_standard(f: SkipNet) -> StandardNet:
 def wide_to_deep(s: ShallowNet, partition) -> StandardNet:
     """Restack a one-layer ReLU net into ``len(partition)`` hidden layers.
 
-    Layer l hosts ``partition[l]`` of the original units next to d shifted
-    input channels and one accumulator channel holding the partial sum of
-    all units placed so far, so layer l has ``partition[l] + d + 1`` nodes.
+    Layer l hosts the next ``partition[l]`` of the original units, then d
+    shifted input carries, then one accumulator holding the partial sum of
+    ``c0`` and all units placed before it, so layer l has
+    ``partition[l] + d + 1`` nodes in that order. The net is relayered as a
+    skip net with one layer per block, each block padded with dead units to
+    the largest one and read from the inputs alone; ``skip_to_standard``
+    lays out its carries and accumulator, and the dead units are sliced away.
     """
     if s.activation != RELU_ACTIVATION:
         raise ConversionError("re-layering requires ReLU units; run sigmoidal_to_relu first")
@@ -412,45 +420,22 @@ def wide_to_deep(s: ShallowNet, partition) -> StandardNet:
         raise StructuralError(
             f"partition sums to {sum(partition)}, net has {s.units} units"
         )
-    d = s.input_dim
-    cx = np.array(_shift(s.domain.lo))
-    lo, hi = _affine_range(s.a, 0.0, s.domain.lo, s.domain.hi)
-    unit_lo, unit_hi = np.maximum(lo + s.b, 0.0), np.maximum(hi + s.b, 0.0)
-    ends = np.cumsum(partition).tolist()
-    blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-    block_lo = [_affine_range(s.c[k], 0.0, unit_lo[k], unit_hi[k])[0] for k in blocks]
-    # acc_shift[l] shifts the partial over c0 and blocks 0 .. l-1
-    acc_shift = _shifts(0.0, [s.c0, *block_lo[:-1]])
-
-    layer_w, layer_b = [], []
-    for l, k in enumerate(blocks):
-        m = k.stop - k.start
-        Wl = np.zeros((d + m + 1, layer_w[-1].shape[0] if l else d))
-        bl = np.zeros(d + m + 1)
-        Wl[:d, :d] = np.eye(d)
-        Wl[d : d + m, :d] = s.a[k]
-        if l == 0:
-            bl[:d] = cx
-            bl[d : d + m] = s.b[k]
-            bl[d + m] = s.c0 + acc_shift[0]
-        else:
-            bl[d : d + m] = s.b[k] - s.a[k] @ cx
-            Wl[d + m, d:-1] = s.c[blocks[l - 1]]
-            Wl[d + m, -1] = 1.0
-            bl[d + m] = acc_shift[l] - acc_shift[l - 1]
-        layer_w.append(Wl)
-        layer_b.append(bl)
-    out_w = np.zeros(d + partition[-1] + 1)
-    out_w[d:-1] = s.c[blocks[-1]]
-    out_w[-1] = 1.0
-    return StandardNet(
-        input_dim=d,
-        layer_w=tuple(layer_w),
-        layer_b=tuple(layer_b),
-        out_w=out_w,
-        out_b=-acc_shift[-1],
-        domain=s.domain,
-        shifts=tuple(cx) + tuple(acc_shift),
+    d, L, M = s.input_dim, len(partition), max(partition)
+    # row-major order over (layer, unit) places the units block by block
+    live = np.arange(M) < np.array(partition)[:, None]
+    wx, b, beta = np.zeros((L, M, d)), np.zeros((L, M)), np.zeros((L, M))
+    wx[live], b[live], beta[live] = s.a, s.b, s.c
+    std = skip_to_standard(SkipNet(
+        input_dim=d, first_w=wx[0], first_b=b[0],
+        hidden_wx=wx[1:], hidden_wy=np.zeros((L - 1, M, M)), hidden_b=b[1:],
+        out_a0=s.c0, out_a=np.zeros(d), out_beta=beta, domain=s.domain,
+    ))
+    keep = [np.r_[:m, M : M + d + 1] for m in partition]
+    return replace(
+        std,
+        layer_w=tuple(W[np.ix_(r, c)] for W, r, c in zip(std.layer_w, keep, [np.arange(d), *keep])),
+        layer_b=tuple(bl[r] for bl, r in zip(std.layer_b, keep)),
+        out_w=std.out_w[keep[-1]],
     )
 
 

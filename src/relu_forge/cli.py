@@ -135,27 +135,37 @@ def _parse_depth_range(text: str) -> list:
     return _parse_ints(text)
 
 
-def _target_callable(name: str, input_dim: int):
-    """Reference function for a named target, vectorized over (n, d) arrays."""
+def _target(name: str, input_dim: int | None = None):
+    """(build(L) or None, reference, dim) for a named target.
+
+    ``reference`` is vectorized over (n, dim) arrays; ``build`` is None for
+    the analytic presets, which ``sweep`` cannot run. ``input_dim`` is the
+    net's when verifying; left out, dim is what the target needs.
+    """
+    need = lambda k: k if input_dim is None else input_dim
     if name == "square":
-        return lambda X: X[:, 0] ** 2
+        return build_square, (lambda X: X[:, 0] ** 2), need(1)
     if name == "multiply":
-        if input_dim < 2:
+        dim = need(2)
+        if dim < 2:
             raise ParameterError("multiply target needs two inputs")
-        return lambda X: X[:, 0] * X[:, 1]
+        return build_multiply, (lambda X: X[:, 0] * X[:, 1]), dim
     if name.startswith("monomial:"):
-        idx = np.array(_parse_ints(name.split(":", 1)[1])) - 1
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= input_dim:
-            raise ParameterError(f"monomial factors out of range for dimension {input_dim}")
-        return lambda X: np.prod(X[:, idx], axis=1)
+        factors = _parse_ints(name.split(":", 1)[1])
+        dim, idx = need(max(factors, default=0)), np.array(factors) - 1
+        if idx.size == 0 or idx.min() < 0 or idx.max() >= dim:
+            raise ParameterError(f"monomial factors out of range for dimension {dim}")
+        build = lambda L: build_monomial(factors, L, dim)
+        return build, (lambda X: np.prod(X[:, idx], axis=1)), dim
     if name.startswith("poly:"):
         spec = _parse_poly(name.split(":", 1)[1])
-        if spec.input_dim > input_dim:
-            raise ParameterError(f"polynomial has more variables than dimension {input_dim}")
-        return spec
+        dim = need(spec.input_dim)
+        if spec.input_dim > dim:
+            raise ParameterError(f"polynomial has more variables than dimension {dim}")
+        return (lambda L: build_polynomial(spec, L)), spec, dim
     if name in PRESET_NAMES:
         _, ref = preset_series(name)
-        return lambda X: ref(X[:, 0])
+        return None, (lambda X: ref(X[:, 0])), need(1)
     raise ParameterError(
         f"unknown target {name!r}; use square, multiply, monomial:.., poly:.., "
         f"or one of {', '.join(PRESET_NAMES)}"
@@ -165,29 +175,6 @@ def _target_callable(name: str, input_dim: int):
 def _default_resolution(dim: int) -> int:
     # keeps full sweeps under a minute at the shipped problem sizes
     return {1: 2**15 + 1, 2: 513, 3: 65}.get(dim, 17)
-
-
-def _sweep_target(name: str):
-    """(build(L), target, box, strategy_for) for a sweepable target name."""
-    if name == "square":
-        build, dim = build_square, 1
-    elif name == "multiply":
-        build, dim = build_multiply, 2
-    elif name.startswith("monomial:"):
-        factors = _parse_ints(name.split(":", 1)[1])
-        dim = max(factors, default=0)
-        build = lambda L: build_monomial(factors, L, dim)
-    elif name.startswith("poly:"):
-        spec = _parse_poly(name.split(":", 1)[1])
-        build, dim = (lambda L: build_polynomial(spec, L)), spec.input_dim
-    else:
-        raise ParameterError(f"target {name!r} is not sweepable")
-    target = _target_callable(name, dim)
-    if name == "square":
-        strategy_for = lambda L: DyadicMidpoints(L)
-    else:
-        strategy_for = lambda L: Uniform(_default_resolution(dim))
-    return build, target, Box.symmetric(dim), strategy_for
 
 
 def _read_net(path: str):
@@ -272,7 +259,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     net, cert = _read_net(args.input)
-    target = _target_callable(args.target, net.input_dim)
+    _, target, _ = _target(args.target, net.input_dim)
     box = cert.box if cert is not None else net.domain
     strategy = _parse_strategy(args.strategy)
     report = sup_error(
@@ -298,10 +285,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    build, target, box, strategy_for = _sweep_target(args.target)
+    build, target, dim = _target(args.target)
+    if build is None:
+        raise ParameterError(f"target {args.target!r} is not sweepable")
+    if args.target == "square":
+        strategy_for = lambda L: DyadicMidpoints(L)
+    else:
+        strategy_for = lambda L: Uniform(_default_resolution(dim))
     depths = _parse_depth_range(args.depths)
     rows = convergence_sweep(
-        build, target, depths, box, strategy_for, threads=args.threads
+        build, target, depths, Box.symmetric(dim), strategy_for, threads=args.threads
     )
     text = sweep_csv(rows)
     if args.csv:

@@ -173,7 +173,7 @@ class SkipNet:
         object.__setattr__(self, "hidden_b", _stacked("hidden_b", self.hidden_b, (w,)))
         object.__setattr__(self, "out_a0", float(self.out_a0))
         object.__setattr__(self, "out_a", _frozen(self.out_a))
-        object.__setattr__(self, "out_beta", _frozen(np.asarray(self.out_beta, dtype=float).reshape(self.depth, self.width)))
+        object.__setattr__(self, "out_beta", _frozen(self.out_beta).reshape(self.depth, self.width))
         object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
 
     @property
@@ -255,7 +255,7 @@ class ShallowNet:
     domain: Box
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _frozen(np.asarray(self.a, dtype=float).reshape(-1, self.input_dim)))
+        object.__setattr__(self, "a", _frozen(self.a).reshape(-1, self.input_dim))
         object.__setattr__(self, "b", _frozen(self.b))
         object.__setattr__(self, "c", _frozen(self.c))
         object.__setattr__(self, "c0", float(self.c0))

@@ -296,6 +296,19 @@ class TestWideToDeep:
         deep = wide_to_deep(s, [2, 2, 2])
         assert deep.widths == (5, 5, 5)
 
+    def test_uneven_partitions_keep_no_padding(self, rng):
+        for partition in ([3, 5], [1, 4, 2]):
+            deep = wide_to_deep(make_random_shallow(2, sum(partition), rng), partition)
+            assert deep.widths == tuple(m + 3 for m in partition)
+            assert len(deep.shifts) == 2 + len(partition)
+        s = make_random_shallow(2, 8, rng)
+        box = Box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+        s = ShallowNet(2, s.a, s.b, s.c, s.c0, "relu", box)
+        X = box.sample(2000, rng)
+        for partition in ([1, 4, 2, 1], [2, 1, 1, 3, 1]):
+            dev = np.abs(evaluate_batch(wide_to_deep(s, partition), X) - evaluate_batch(s, X))
+            assert dev.max() <= 1e-12
+
     def test_partition_split_preserves_function(self, rng):
         s = make_random_shallow(2, 8, rng)
         deep = wide_to_deep(s, [3, 5])

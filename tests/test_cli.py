@@ -134,6 +134,12 @@ class TestSweep:
         assert run(["sweep", "monomial:", "--depths", "2:3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_preset_and_unknown_targets_are_usage_errors(self, capsys):
+        assert run(["sweep", "exp", "--depths", "2:3"]) == 2
+        assert "'exp' is not sweepable" in capsys.readouterr().err
+        assert run(["sweep", "cube", "--depths", "2:3"]) == 2
+        assert "unknown target 'cube'" in capsys.readouterr().err
+
 
 class TestRunSweepsScript:
     def test_writes_one_cli_table_per_target(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from relu_forge import (
     eval_skip,
     eval_skip_batch,
     eval_standard,
+    evaluate,
     evaluate_batch,
     interval_bounds,
     nets,
@@ -451,6 +452,19 @@ class TestSkipNetStorage:
         doc["hidden_layers"][2][1]["wx"] = [0.5]
         with pytest.raises(DocumentInvariantError):
             from_document(doc)
+
+    def test_reshaped_fields_freeze_the_callers_array(self):
+        # out_beta and ShallowNet.a are reshaped; a shared array must not stay writeable
+        beta = np.array([[1.0, 2.0]])
+        skip = SkipNet(1, np.ones((2, 1)), np.zeros(2), (), (), (), 0.0, np.zeros(1),
+                       beta, Box.symmetric(1))
+        a = np.array([[1.0]])
+        shallow = ShallowNet(1, a, np.zeros(1), np.ones(1), 0.0, "relu", Box.symmetric(1))
+        assert evaluate(skip, [0.5]) == 1.5 and evaluate(shallow, [0.5]) == 0.5
+        for arr in (beta, a):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 100.0
+        assert evaluate(skip, [0.5]) == 1.5 and evaluate(shallow, [0.5]) == 0.5
 
 
 def sparse_skip(d, depth, width, rng) -> SkipNet:
