@@ -5,7 +5,8 @@ Usage:
     PYTHONPATH=src python scripts/bit_corpus.py
 
 The corpus holds builder nets (square, multiply, monomials with and without
-clamping, polynomials, the analytic presets down to eps 1e-10), seeded
+clamping, polynomials, among them two whose monomials share factor prefixes
+with and without clamping, the analytic presets down to eps 1e-10), seeded
 random skip nets, every rewrite of `relu_forge.calculus` on seeded random
 operands (deep and depth 0, symmetric boxes and boxes with a zero lower
 end), `skip_to_standard` of every net of depth >= 1, and `wide_to_deep` of
@@ -53,6 +54,12 @@ POLYNOMIALS = (
     PolySpec(3, {(0, 0, 0): 0.25, (1, 0, 1): -0.5, (0, 2, 1): 0.75, (1, 1, 1): 0.5}),
     PolySpec(2, {(0, 0): 0.5, (1, 0): -0.25, (0, 1): 1.5}),
 )
+# Polynomials whose monomials share factor prefixes: x^2 inside x^4 ... x^12,
+# and x1^2 inside x1^3 and x1^2 x2, which is inside x1^2 x2^2.
+EVEN_HEAD = PolySpec(1, {(q,): 1.0 for q in range(2, 13, 2)})
+BRANCHING_2D = PolySpec(
+    2, {(3, 0): 0.5, (2, 1): -0.25, (2, 0): 1, (1, 2): 0.125, (0, 3): 0.5, (2, 2): 0.25}
+)
 
 
 def random_skip(d, depth, width, rng) -> SkipNet:
@@ -97,9 +104,16 @@ def skip_nets():
     for i, spec in enumerate(POLYNOMIALS):
         for L in range(1, 7):
             yield f"polynomial {i} L={L}", build_polynomial(spec, L)[0]
+    for L in range(1, 5):
+        yield f"even head L={L}", build_polynomial(EVEN_HEAD, L)[0]
+        for clamp in (False, True):
+            yield f"branching 2-d L={L} clamp={clamp}", build_polynomial(
+                BRANCHING_2D, L, clamp=clamp
+            )[0]
     for name in ("exp", "sin", "runge"):
         for eps in (1e-3, 1e-6, 1e-8, 1e-10):
             yield f"{name} eps={eps:g}", build_analytic(preset_series(name)[0], eps, 0.25).net
+    yield "exp eps=1e-06 clamp=True", build_analytic(preset_series("exp")[0], 1e-6, 0.25, clamp=True).net
     head = PolySpec(2, {(0, 0): 0.5, (1, 1): 0.25, (2, 1): 0.125, (2, 0): -0.25})
     series = SeriesSpec(head, tail_l1_bound=lambda p, delta: 0.0 if p >= 3 else 1.0)
     yield "finite series", build_analytic(series, 1e-2, 0.25).net

@@ -292,6 +292,33 @@ def _compose_grow(outer: SkipNet, inner: SkipNet) -> SkipNet:
         return compose(pad_width(outer, target), pad_width(inner, target + 1))
 
 
+def _monomial_chain(indices, L: int, d: int, clamp: bool, chains: dict) -> SkipNet:
+    """Unpadded product chain for two or more checked factors.
+
+    Resumes from the longest factor tuple in ``chains`` that is a prefix of
+    ``indices`` and stores the result under ``tuple(indices)``. A chain is a
+    pure function of its factors, L, d and clamp, so a resumed chain is the
+    same net the full loop would build.
+    """
+    key = tuple(indices)
+    start = next((n for n in range(len(key), 1, -1) if key[:n] in chains), None)
+    if start is None:
+        mult, _ = build_multiply(L)
+        T = np.zeros((2, d))
+        T[0, key[0] - 1] += 1.0
+        T[1, key[1] - 1] += 1.0
+        net = substitute_inputs(mult, T, [0.0, 0.0], Box.symmetric(d))
+        start = 2
+    else:
+        net = chains[key[:start]]
+    for factor in key[start:]:
+        if clamp:
+            net = _compose_grow(_lifted_clamp(d), net)
+        net = _compose_grow(_lifted_multiply(L, d, factor), net)
+    chains[key] = net
+    return net
+
+
 def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):
     """Net approximating the product of the selected coordinates.
 
@@ -328,15 +355,7 @@ def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):
         a = np.zeros(input_dim)
         a[indices[0] - 1] = 1.0
         return affine_net(0.0, a, box), cert
-    mult, _ = build_multiply(L)
-    T = np.zeros((2, input_dim))
-    T[0, indices[0] - 1] += 1.0
-    T[1, indices[1] - 1] += 1.0
-    net = substitute_inputs(mult, T, [0.0, 0.0], box)
-    for factor in indices[2:]:
-        if clamp:
-            net = _compose_grow(_lifted_clamp(input_dim), net)
-        net = _compose_grow(_lifted_multiply(L, input_dim, factor), net)
+    net = _monomial_chain(indices, L, input_dim, clamp, {})
     if net.width < 3:
         net = pad_width(net, 3)
     return net, cert
@@ -353,6 +372,11 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
     layers; each degree-q term with q >= 2 contributes a monomial net of
     depth ``3 (q-1) L``, added in lexicographic exponent order. Certified
     error ``3 (p-1) 4**-L`` times the total coefficient mass, p the degree.
+
+    A monomial's product chain resumes from the longest earlier monomial
+    whose factor list is a prefix of its own (x^4 from x^2, x1^2 x2 from
+    x1^2), so the chains cost one product stage per new factor. The net is
+    the same, bit for bit, as the sum of separately built monomials.
     """
     L = int(L)
     if L < 1:
@@ -368,8 +392,9 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
         avec[i] = spec.coeffs.get(unit, 0.0)
     net = affine_net(a0, avec, box)
     high = sorted(k for k in spec.coeffs if multi_index_degree(k) >= 2)
+    chains: dict = {}
     mono_nets = [
-        build_monomial(expand_multi_index(k), L, d, clamp=clamp)[0] for k in high
+        _monomial_chain(expand_multi_index(k), L, d, clamp, chains) for k in high
     ]
     width = max([3] + [m.width for m in mono_nets])
     for k, mono in zip(high, mono_nets):

@@ -1,7 +1,9 @@
 """JSON document format for networks and certificates.
 
 Documents are version-tagged JSON objects with kind ``skip``, ``standard``,
-or ``shallow``. Numbers are emitted with full round-trip precision, so
+or ``shallow``, written compactly on one line (``python -m json.tool``
+pretty-prints one; indented documents load the same). Numbers are emitted
+with full round-trip precision, so
 ``deserialize(serialize(net))`` reproduces every weight bit for bit. A
 deserialized net is validated before it is returned; documents describing
 an invalid net are rejected with the validator's diagnostics.
@@ -215,7 +217,7 @@ def serialize_net(net, certificate: BoundCertificate | None = None) -> str:
             "refusing to serialize an invalid net: " + "; ".join(problems),
             diagnostics=problems,
         )
-    return json.dumps(to_document(net, certificate), indent=2) + "\n"
+    return json.dumps(to_document(net, certificate)) + "\n"
 
 
 def deserialize_net(text: str):

@@ -1,3 +1,6 @@
+from dataclasses import fields, is_dataclass
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,21 @@ def make_random_skip(d, depth, width, rng, scale=1.0) -> SkipNet:
         out_beta=rng.uniform(-scale, scale, (depth, width)),
         domain=Box.symmetric(d),
     )
+
+
+def net_bits(obj):
+    """Comparable form of a net or certificate that differs when any stored bit does."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if is_dataclass(obj):
+        return tuple((f.name, net_bits(getattr(obj, f.name))) for f in fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return tuple(net_bits(v) for v in obj)
+    if isinstance(obj, (dict, MappingProxyType)):
+        return tuple((k, net_bits(v)) for k, v in obj.items())
+    if isinstance(obj, float):
+        return obj.hex()
+    return obj
 
 
 def make_random_shallow(d, units, rng, activation="relu") -> ShallowNet:

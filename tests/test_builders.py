@@ -13,6 +13,8 @@ from relu_forge import (
     SeriesSpec,
     SeriesTruncationError,
     Uniform,
+    add,
+    affine_net,
     build_analytic,
     build_monomial,
     build_multiply,
@@ -20,12 +22,18 @@ from relu_forge import (
     build_square,
     eval_skip,
     eval_skip_batch,
+    expand_multi_index,
     monomial_count,
+    multi_index_degree,
+    pad_width,
     preset_series,
     sup_error,
     theorem_depth,
     validate,
 )
+from relu_forge import builders
+
+from conftest import net_bits
 
 
 def grid_sup_error(net, target, points_per_dim: int) -> float:
@@ -180,6 +188,28 @@ class TestBuildMonomial:
             build_monomial([1, 4], 2, 3)
 
 
+EVEN_HEAD = PolySpec(1, {(q,): 1.0 for q in range(2, 13, 2)})
+# (1, 1) prefixes (1, 1, 1) and (1, 1, 2), which prefixes (1, 1, 2, 2)
+BRANCHING_2D = PolySpec(
+    2, {(3, 0): 0.5, (2, 1): -0.25, (2, 0): 1, (1, 2): 0.125, (0, 3): 0.5, (2, 2): 0.25}
+)
+
+
+def summed_polynomial(spec, L, clamp=False):
+    """Reference: every monomial built on its own, summed in exponent order."""
+    d = spec.input_dim
+    box = Box.symmetric(d)
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    avec = np.array([spec.coeffs.get(u, 0.0) for u in units])
+    net = affine_net(spec.coeffs.get((0,) * d, 0.0), avec, box)
+    high = sorted(k for k in spec.coeffs if multi_index_degree(k) >= 2)
+    monos = [build_monomial(expand_multi_index(k), L, d, clamp=clamp)[0] for k in high]
+    width = max([3] + [m.width for m in monos])
+    for k, mono in zip(high, monos):
+        net = add(net, pad_width(mono, width), 1.0, spec.coeffs[k])
+    return net
+
+
 class TestBuildPolynomial:
     def test_constant_spec_is_exact_affine(self, rng):
         net, cert = build_polynomial(PolySpec(2, {(0, 0): 1.5}), 3)
@@ -214,6 +244,35 @@ class TestBuildPolynomial:
     def test_empty_spec_rejected(self):
         with pytest.raises(ParameterError):
             build_polynomial(PolySpec(2, {}), 3)
+
+    @pytest.mark.parametrize(
+        "spec, clamp, stages", [(EVEN_HEAD, False, 10), (BRANCHING_2D, True, 5)]
+    )
+    def test_monomials_share_factor_prefixes(self, monkeypatch, spec, clamp, stages):
+        calls = []
+        lifted = builders._lifted_multiply
+
+        def counting(*args):
+            calls.append(args)
+            return lifted(*args)
+
+        monkeypatch.setattr(builders, "_lifted_multiply", counting)
+        build_polynomial(spec, 3, clamp=clamp)
+        # one lifted product per factor beyond the longest prefix already built
+        assert len(calls) == stages
+
+    @pytest.mark.parametrize(
+        "spec, clamp", [(EVEN_HEAD, False), (BRANCHING_2D, False), (BRANCHING_2D, True)]
+    )
+    def test_sharing_keeps_every_bit(self, spec, clamp):
+        net, _ = build_polynomial(spec, 2, clamp=clamp)
+        assert net_bits(net) == net_bits(summed_polynomial(spec, 2, clamp))
+
+    def test_sharing_keeps_every_bit_of_runge_head(self):
+        series, _ = preset_series("runge")
+        build = build_analytic(series, 1e-6, 0.25)
+        head = series.head.truncated(build.truncation_degree)
+        assert net_bits(build.net) == net_bits(summed_polynomial(head, build.stage_depth))
 
 
 class TestBuildAnalytic:

@@ -18,8 +18,9 @@ from relu_forge import (
     skip_to_standard,
     validate,
 )
+from relu_forge.serialize import to_document
 
-from conftest import make_random_shallow, make_random_skip
+from conftest import make_random_shallow, make_random_skip, net_bits
 
 
 class TestRoundTrip:
@@ -79,6 +80,21 @@ class TestRoundTrip:
     def test_serialized_text_stable(self):
         net, cert = build_square(3)
         assert serialize_net(net, cert) == serialize_net(net, cert)
+
+    def test_document_is_compact_json_on_one_line(self):
+        net, cert = build_monomial([1, 1, 2], 2, 2)
+        text = serialize_net(net, cert)
+        assert text == json.dumps(to_document(net, cert)) + "\n"
+        assert text.count("\n") == 1
+
+    def test_indented_document_still_loads(self):
+        for net, cert in (
+            build_monomial([1, 1, 2], 2, 2),
+            (skip_to_standard(build_monomial([1, 2, 3], 3, 3)[0]), None),
+        ):
+            back, cert2 = deserialize_net(json.dumps(to_document(net, cert), indent=2))
+            assert net_bits(back) == net_bits(net)
+            assert net_bits(cert2) == net_bits(cert)
 
 
 class TestRejection:
