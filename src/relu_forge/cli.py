@@ -6,7 +6,10 @@ broken, sweep ratio above one), 2 for usage, input, or I/O problems.
 
 Verification targets are named built-ins: ``square``, ``multiply``,
 ``monomial:i1,i2,..`` (1-based factors), ``poly:k1,..,kd:coeff;..``, and
-the analytic presets ``exp``, ``sin``, ``runge``. Grid parallelism comes
+the analytic presets ``exp``, ``sin``, ``runge``. ``build square``,
+``multiply``, ``monomial`` and ``poly`` name the same targets: ``--indices``
+is the ``monomial:`` factor list, ``--coeffs`` the ``poly:`` spec, and a
+``--dim`` that contradicts the target is a usage error. Grid parallelism comes
 from ``--threads`` (default: all cores, overridable through the
 ``RELU_FORGE_THREADS`` environment variable); results are identical for
 every thread count.
@@ -15,6 +18,7 @@ every thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -135,12 +139,14 @@ def _parse_depth_range(text: str) -> list:
     return _parse_ints(text)
 
 
-def _target(name: str, input_dim: int | None = None):
+def _target(name: str, input_dim: int | None = None, clamp: bool = False):
     """(build(L) or None, reference, dim) for a named target.
 
+    ``build``, ``verify`` and ``sweep`` all resolve targets here.
     ``reference`` is vectorized over (n, dim) arrays; ``build`` is None for
     the analytic presets, which ``sweep`` cannot run. ``input_dim`` is the
-    net's when verifying; left out, dim is what the target needs.
+    net's when verifying and ``--dim`` when building; left out, dim is what
+    the target needs. ``clamp`` reaches the monomial and polynomial builders.
     """
     need = lambda k: k if input_dim is None else input_dim
     if name == "square":
@@ -155,14 +161,14 @@ def _target(name: str, input_dim: int | None = None):
         dim, idx = need(max(factors, default=0)), np.array(factors) - 1
         if idx.size == 0 or idx.min() < 0 or idx.max() >= dim:
             raise ParameterError(f"monomial factors out of range for dimension {dim}")
-        build = lambda L: build_monomial(factors, L, dim)
+        build = lambda L: build_monomial(factors, L, dim, clamp=clamp)
         return build, (lambda X: np.prod(X[:, idx], axis=1)), dim
     if name.startswith("poly:"):
         spec = _parse_poly(name.split(":", 1)[1])
         dim = need(spec.input_dim)
         if spec.input_dim > dim:
             raise ParameterError(f"polynomial has more variables than dimension {dim}")
-        return (lambda L: build_polynomial(spec, L)), spec, dim
+        return (lambda L: build_polynomial(spec, L, clamp=clamp)), spec, dim
     if name in PRESET_NAMES:
         _, ref = preset_series(name)
         return None, (lambda X: ref(X[:, 0])), need(1)
@@ -202,22 +208,13 @@ def _cmd_build(args) -> int:
     if kind in ("square", "multiply", "monomial", "poly"):
         if args.depth is None:
             raise ParameterError(f"build {kind} requires --depth")
-        if kind == "square":
-            net, cert = build_square(args.depth)
-        elif kind == "multiply":
-            net, cert = build_multiply(args.depth)
-        elif kind == "monomial":
-            if not args.indices:
-                raise ParameterError("build monomial requires --indices i1,i2,..")
-            factors = _parse_ints(args.indices)
-            dim = args.dim or max(factors)
-            net, cert = build_monomial(factors, args.depth, dim, clamp=args.clamp)
-        else:
-            if not args.coeffs:
-                raise ParameterError("build poly requires --coeffs 'k1,..,kd:c;..'")
-            net, cert = build_polynomial(
-                _parse_poly(args.coeffs), args.depth, clamp=args.clamp
-            )
+        if kind == "monomial" and not args.indices:
+            raise ParameterError("build monomial requires --indices i1,i2,..")
+        if kind == "poly" and not args.coeffs:
+            raise ParameterError("build poly requires --coeffs 'k1,..,kd:c;..'")
+        name = {"monomial": f"monomial:{args.indices}", "poly": f"poly:{args.coeffs}"}.get(kind, kind)
+        build, _, _ = _target(name, args.dim, clamp=args.clamp)
+        net, cert = build(args.depth)
     else:  # analytic
         if args.eps is None or args.delta is None:
             raise ParameterError("build analytic requires --eps and --delta")
@@ -265,22 +262,10 @@ def _cmd_verify(args) -> int:
     report = sup_error(
         net, target, box, strategy, certificate=cert, threads=args.threads
     )
-    failed = False
-    if report.bound is not None and report.measured > report.bound:
-        failed = True
+    failed = report.bound is not None and report.measured > report.bound
     if args.tol is not None and report.measured > args.tol:
         failed = True
-    payload = {
-        "measured": report.measured,
-        "argmax": list(report.argmax),
-        "strategy": report.strategy,
-        "points": report.points,
-        "bound": report.bound,
-        "ratio": report.ratio,
-        "out_of_domain": report.out_of_domain,
-        "passed": not failed,
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({**dataclasses.asdict(report), "passed": not failed}, indent=2))
     return VERIFY_FAILURE if failed else 0
 
 
@@ -358,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("what", choices=["square", "multiply", "monomial", "poly", "analytic"])
     b.add_argument("--depth", type=int, help="per-stage depth parameter L")
     b.add_argument("--indices", help="monomial factors, 1-based: 1,1,2")
-    b.add_argument("--dim", type=int, help="input dimension (default: max factor)")
+    b.add_argument("--dim", type=int, help="input dimension (default: what the target needs)")
     b.add_argument("--coeffs", help="polynomial terms: 'k1,..,kd:c;..'")
     b.add_argument("--preset", default="exp", choices=list(PRESET_NAMES))
     b.add_argument("--eps", type=float, help="accuracy target for analytic builds")

@@ -34,10 +34,6 @@ __all__ = ["FORMAT_VERSION", "to_document", "from_document", "serialize_net", "d
 FORMAT_VERSION = 1
 
 
-def _floats(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
-
-
 def to_document(net, certificate: BoundCertificate | None = None) -> dict:
     """Plain-JSON dict for a net, optionally carrying its certificate."""
     doc: dict = {"version": FORMAT_VERSION}
@@ -48,24 +44,16 @@ def to_document(net, certificate: BoundCertificate | None = None) -> dict:
         doc["width"] = net.width
         doc["domain"] = net.domain.as_pairs()
         doc["first_layer"] = [
-            {"w": _floats(net.first_w[m]), "b": float(net.first_b[m])}
-            for m in range(net.width)
+            {"w": w, "b": b} for w, b in zip(net.first_w.tolist(), net.first_b.tolist())
         ]
         doc["hidden_layers"] = [
-            [
-                {
-                    "wx": _floats(wx[m]),
-                    "wy": _floats(wy[m]),
-                    "b": float(b[m]),
-                }
-                for m in range(net.width)
-            ]
-            for wx, wy, b in zip(net.hidden_wx, net.hidden_wy, net.hidden_b)
+            [{"wx": wx, "wy": wy, "b": b} for wx, wy, b in zip(*layer)]
+            for layer in zip(net.hidden_wx.tolist(), net.hidden_wy.tolist(), net.hidden_b.tolist())
         ]
         doc["output"] = {
             "a0": float(net.out_a0),
-            "a": _floats(net.out_a),
-            "beta": _floats(net.out_beta),
+            "a": net.out_a.tolist(),
+            "beta": net.out_beta.tolist(),
         }
     elif isinstance(net, StandardNet):
         doc["kind"] = "standard"
@@ -73,17 +61,16 @@ def to_document(net, certificate: BoundCertificate | None = None) -> dict:
         doc["depth"] = net.depth
         doc["domain"] = net.domain.as_pairs()
         doc["layers"] = [
-            {"W": _floats(W), "b": _floats(b)}
-            for W, b in zip(net.layer_w, net.layer_b)
+            {"W": W.tolist(), "b": b.tolist()} for W, b in zip(net.layer_w, net.layer_b)
         ]
-        doc["output"] = {"w": _floats(net.out_w), "b": float(net.out_b)}
+        doc["output"] = {"w": net.out_w.tolist(), "b": float(net.out_b)}
     elif isinstance(net, ShallowNet):
         doc["kind"] = "shallow"
         doc["input_dim"] = net.input_dim
         doc["domain"] = net.domain.as_pairs()
         doc["units"] = [
-            {"a": _floats(net.a[j]), "b": float(net.b[j]), "c": float(net.c[j])}
-            for j in range(net.units)
+            {"a": a, "b": b, "c": c}
+            for a, b, c in zip(net.a.tolist(), net.b.tolist(), net.c.tolist())
         ]
         doc["c0"] = float(net.c0)
         doc["activation"] = net.activation

@@ -7,6 +7,7 @@ import pytest
 
 from relu_forge import (
     Box,
+    ConversionError,
     NoFreeChannelError,
     PolySpec,
     ShallowNet,
@@ -247,6 +248,10 @@ class TestPadWidth:
         with pytest.raises(StructuralError):
             pad_width(f, 2)
 
+    def test_depth_zero_returned_as_is(self):
+        f = affine_net(0.5, [1.0, -2.0], Box.symmetric(2))
+        assert pad_width(f, 4) is f
+
 
 class TestSkipToStandard:
     def test_square_structure(self):
@@ -281,6 +286,10 @@ class TestSkipToStandard:
             assert set(std.widths) == {net.width + net.input_dim + 1}
             rep = equivalence_check(net, std, net.domain, 10_000, 5, 1e-9)
             assert rep.passed
+
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ConversionError):
+            skip_to_standard(affine_net(0.5, [1.0, -2.0], Box.symmetric(2)))
 
 
 class TestWideToDeep:
@@ -319,6 +328,16 @@ class TestWideToDeep:
         s = make_random_shallow(2, 8, rng)
         with pytest.raises(StructuralError):
             wide_to_deep(s, [3, 4])
+
+    def test_sigmoidal_units_rejected(self, rng):
+        s = make_random_shallow(2, 4, rng, activation="sigmoidal-step")
+        with pytest.raises(ConversionError, match="sigmoidal_to_relu"):
+            wide_to_deep(s, [2, 2])
+
+    def test_zero_partition_entry_rejected(self, rng):
+        s = make_random_shallow(2, 4, rng)
+        with pytest.raises(StructuralError, match="positive"):
+            wide_to_deep(s, [4, 0])
 
 
 class TestShifts:

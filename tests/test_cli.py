@@ -7,7 +7,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from relu_forge import deserialize_net, serialize_net, sigmoidal_to_relu
+from relu_forge import (
+    PolySpec,
+    build_monomial,
+    build_multiply,
+    build_polynomial,
+    build_square,
+    deserialize_net,
+    serialize_net,
+    sigmoidal_to_relu,
+)
 from relu_forge.cli import main
 
 from conftest import make_random_shallow
@@ -15,6 +24,10 @@ from conftest import make_random_shallow
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+POLY = "0,0:1;2,0:-1;1,1:0.5"
+POLY_SPEC = PolySpec(2, {(0, 0): 1.0, (2, 0): -1.0, (1, 1): 0.5})
 
 
 class TestBuild:
@@ -47,6 +60,46 @@ class TestBuild:
     def test_missing_depth_is_usage_error(self, tmp_path, capsys):
         assert run(["build", "square", "-o", tmp_path / "x.json"]) == 2
         assert "depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, builder",
+        [
+            (["square"], build_square),
+            (["multiply"], build_multiply),
+            (["monomial", "--indices", "1,1,2"], lambda L: build_monomial([1, 1, 2], L, 2)),
+            (["monomial", "--indices", "1,1,2", "--dim", 3],
+             lambda L: build_monomial([1, 1, 2], L, 3)),
+            (["monomial", "--indices", "1,1,2", "--clamp"],
+             lambda L: build_monomial([1, 1, 2], L, 2, clamp=True)),
+            (["poly", "--coeffs", POLY], lambda L: build_polynomial(POLY_SPEC, L)),
+            (["poly", "--coeffs", POLY, "--clamp"],
+             lambda L: build_polynomial(POLY_SPEC, L, clamp=True)),
+            # degree 3, so clamping changes the document
+            (["poly", "--coeffs", "2,1:1;1,0:0.5", "--clamp"],
+             lambda L: build_polynomial(PolySpec(2, {(2, 1): 1.0, (1, 0): 0.5}), L, clamp=True)),
+        ],
+        ids=["square", "multiply", "monomial", "monomial-dim3", "monomial-clamp",
+             "poly", "poly-clamp", "poly-cubic-clamp"],
+    )
+    def test_writes_the_builders_document(self, tmp_path, argv, builder):
+        out = tmp_path / "net.json"
+        assert run(["build", *argv, "--depth", 2, "-o", out]) == 0
+        assert out.read_text() == serialize_net(*builder(2))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["multiply", "--dim", 1],
+            ["poly", "--coeffs", "0,1:1", "--dim", 1],
+            ["monomial", "--indices", "1,3", "--dim", 2],
+        ],
+        ids=["multiply", "poly", "monomial"],
+    )
+    def test_contradicting_dim_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "net.json"
+        assert run(["build", *argv, "--depth", 2, "-o", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalVerifyInfo:
@@ -83,6 +136,42 @@ class TestEvalVerifyInfo:
         text = capsys.readouterr().out
         assert "depth: 9" in text and "width: 2" in text
         assert "certificate: multiply" in text
+
+    def test_verify_fails_when_bound_exceeded(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        doc = json.loads(out.read_text())
+        doc["certificate"]["bound"] = 1e-9
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["verify", "-i", out, "--target", "square", "--strategy", "dyadic:2"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["measured", "argmax", "strategy", "points", "bound",
+                                 "ratio", "out_of_domain", "passed"]
+        assert payload["bound"] == 1e-9 and payload["passed"] is False
+
+    def test_info_on_standard_document(self, tmp_path, capsys):
+        src = tmp_path / "net.json"
+        dst = tmp_path / "std.json"
+        run(["build", "square", "--depth", 3, "-o", src])
+        run(["convert", "skip2std", "-i", src, "-o", dst])
+        capsys.readouterr()
+        assert run(["info", "-i", dst]) == 0
+        text = capsys.readouterr().out
+        assert "kind: StandardNet" in text
+        assert "widths: 4,4,4" in text and "params: " in text
+        assert f"shifts: {len(deserialize_net(dst.read_text())[0].shifts)} recorded" in text
+
+    def test_info_on_shallow_document(self, tmp_path, rng, capsys):
+        src = tmp_path / "shallow.json"
+        dst = tmp_path / "relu.json"
+        src.write_text(serialize_net(make_random_shallow(2, 3, rng, activation="sigmoidal-step")))
+        run(["convert", "sig2relu", "-i", src, "-o", dst])
+        capsys.readouterr()
+        assert run(["info", "-i", dst]) == 0
+        text = capsys.readouterr().out
+        assert "units: 6" in text and "activation: relu" in text
 
 
 class TestConvert:
