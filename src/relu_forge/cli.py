@@ -9,7 +9,8 @@ Verification targets are named built-ins: ``square``, ``multiply``,
 the analytic presets ``exp``, ``sin``, ``runge``. ``build square``,
 ``multiply``, ``monomial`` and ``poly`` name the same targets: ``--indices``
 is the ``monomial:`` factor list, ``--coeffs`` the ``poly:`` spec, and a
-``--dim`` that contradicts the target is a usage error. Grid parallelism comes
+``--dim`` other than the built net's input dimension is a usage error (only
+``monomial`` builds nets wider than its factors need). Grid parallelism comes
 from ``--threads`` (default: all cores, overridable through the
 ``RELU_FORGE_THREADS`` environment variable); results are identical for
 every thread count.
@@ -44,7 +45,7 @@ from .calculus import (
     wide_to_deep,
 )
 from .errors import DocumentError, ParameterError, ReluForgeError
-from .nets import Box, ShallowNet, SkipNet, StandardNet, evaluate
+from .nets import Box, ShallowNet, SkipNet, StandardNet, _compile_skip, evaluate
 from .serialize import deserialize_net, serialize_net
 from .verify import (
     DyadicMidpoints,
@@ -221,6 +222,10 @@ def _cmd_build(args) -> int:
         series, _ = preset_series(args.preset)
         result = build_analytic(series, args.eps, args.delta, clamp=args.clamp)
         net, cert = result.net, result.certificate
+    if args.dim is not None and args.dim != net.input_dim:
+        raise ParameterError(
+            f"--dim {args.dim}: build {kind} makes a net of input dimension {net.input_dim}"
+        )
     _write_text(args.output, serialize_net(net, cert))
     print(f"wrote {args.output} (depth={net.depth}, width={net.width}, bound={cert.bound!r})")
     return 0
@@ -303,6 +308,11 @@ def _cmd_info(args) -> int:
         if net.depth >= 1 and net.width >= 1:
             print(f"standard_width: {net.width + net.input_dim + 1}")
             print(f"params_standard_form: {count_params(net.width, net.depth, net.input_dim)}")
+        # the evaluator computes each distinct unit once, in this many rows per point
+        prog = _compile_skip(net)
+        computed = sum(len(units) for units, _ in prog.stages)
+        print(f"eval_units: {computed} of {net.depth * net.width}")
+        print(f"eval_rows: {prog.registers}")
     elif isinstance(net, StandardNet):
         print(f"depth: {net.depth}")
         print(f"widths: {','.join(str(w) for w in net.widths)}")

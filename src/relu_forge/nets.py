@@ -16,10 +16,12 @@ Three network kinds are used throughout:
   weighted sum is the output.
 
 Evaluation compiles any of them into one straight-line program: per unit,
-its bias and its nonzero (source, weight) terms in declaration order. One
-kernel runs that program over chunks of points. Every sum is formed in
-declaration order, so the output is bit-identical for every chunk size and
-thread count, and zero-weight padding changes no bit.
+its bias and its nonzero (source, weight) terms in declaration order. A skip
+net's program computes each distinct unit once, however often the net
+repeats it, and leaves out units that no output reads. One kernel runs that
+program over chunks of points. Every sum is formed in declaration order, so
+the output is bit-identical for every chunk size and thread count, and
+zero-weight padding changes no bit.
 
 All types are immutable after construction and all functions here are pure,
 so values can be shared freely across threads.
@@ -272,15 +274,25 @@ class ShallowNet:
 # computes some hidden units, then adds its terms to the output sum. A unit is
 # a register row, a bias and its nonzero (source row, weight) terms in
 # declaration order: input terms, then previous-layer terms, ascending. The
-# registers hold the inputs, then two banks that layers alternate between; a
-# shallow net puts every unit on one row, in a stage of its own.
+# registers hold the inputs, then the rows the units write. A standard net's
+# layers alternate between two banks; a shallow net puts every unit on one
+# row, in a stage of its own.
+#
+# A skip net's program is value-numbered: units with the same bias (sign bit
+# included) and the same terms over the same values run the same float
+# operations on the same bits, so each distinct unit is computed once, and
+# units that no output term reads are left out. Output terms keep their
+# order; units are placed chain by chain, and rows are reused after last use.
+# Shared values stay live longer, so such a program needs more rows; it takes
+# fewer points per pass, so that its register file is no larger than the
+# two-bank one at the same points.
 #
 # Sums run in that order with one rounding per multiply and per add, so no bit
 # depends on the chunk size or the thread count, and skipping zero weights
 # keeps padding neutral. A +-1 weight is a bare add or subtract, which rounds
 # the same; a shallow net keeps zero output terms (-0.0 + 0 * z is +0.0).
 
-_CHUNK = 1 << 16  # points per kernel pass; verify's thread pool splits on it too
+_CHUNK = 1 << 16  # points per two-bank pass; verify's thread pool splits on it too
 
 
 class _Program(NamedTuple):
@@ -289,6 +301,7 @@ class _Program(NamedTuple):
     out_bias: float
     ceiling: float | None  # clip after the ReLU: 1.0 for the sigmoidal step
     stages: tuple  # ((units, output terms), ...); a unit is (row, bias, terms)
+    points: int  # points per kernel pass, given _CHUNK points or more
 
 
 def _split(rows: np.ndarray, weights: np.ndarray, counts) -> list:
@@ -312,18 +325,103 @@ def _layers(W: np.ndarray, b: np.ndarray, src: np.ndarray, dst: np.ndarray) -> l
 def _compile_skip(net: SkipNet) -> _Program:
     d, w, depth = net.input_dim, net.width, net.depth
     nz = np.flatnonzero(net.out_a)
-    stages = [((), _split(nz, net.out_a[nz], [nz.size])[0])]
+    outs = list(zip(nz.tolist(), net.out_a[nz].tolist()))  # (value id, weight); x_i is id i
+    units = []  # (bias, operand ids, weights) per value id, from d up
+    ids = {}  # (kind, operand ids) -> value id
     if depth:
-        banks = d + (np.arange(depth) % 2)[:, None] * w + np.arange(w)
         wx = np.concatenate([net.first_w[None], net.hidden_wx])
         wy = np.concatenate([np.zeros((1, w, w)), net.hidden_wy])
-        # layer l reads the inputs and the bank that layer l - 1 wrote
-        src = np.hstack([np.broadcast_to(np.arange(d), (depth, d)), np.roll(banks, 1, axis=0)])
         b = np.concatenate([net.first_b[None], net.hidden_b])
+        # column k + 1 weighs slot k: x, then layer l - 1; a unit's kind is the
+        # bits of its bias and weights, so -0.0 and +0.0 differ
+        rows = np.concatenate([b[..., None], wx, wy], axis=2).reshape(depth * w, -1)
+        bits = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+        _, first, kind = np.unique(bits, return_index=True, return_inverse=True)
+        kinds = rows[first]
+        biases = kinds[:, 0].tolist()
+        reads = [np.flatnonzero(k[1:]) for k in kinds]  # the slots each kind reads
+        weights = [tuple(k[1:][r].tolist()) for k, r in zip(kinds, reads)]
+        reads = [r.tolist() for r in reads]
+        vals, layer_vals = list(range(d + w)), []  # value id per slot, per unit
+        for layer in kind.reshape(depth, w).tolist():
+            new = []
+            for k in layer:
+                ops = tuple([vals[s] for s in reads[k]])
+                v = ids.get((k, ops))
+                if v is None:
+                    v = ids[k, ops] = d + len(units)
+                    units.append((biases[k], ops, weights[k]))
+                new.append(v)
+            vals[d:] = new
+            layer_vals += new
         l, m = np.nonzero(net.out_beta)
-        outs = _split(banks[l, m], net.out_beta[l, m], np.bincount(l, minlength=depth))
-        stages += zip(_layers(np.concatenate([wx, wy], axis=2), b, src, banks), outs)
-    return _Program(d, d + min(depth, 2) * w, net.out_a0, None, tuple(stages))
+        outs += zip([layer_vals[i] for i in (l * w + m).tolist()], net.out_beta[l, m].tolist())
+    # keep what the output reads; a unit reads only smaller ids
+    live = [False] * (d + len(units))
+    for v, _ in outs:
+        live[v] = True
+    for v in range(len(live) - 1, d - 1, -1):
+        for o in units[v - d][1] if live[v] else ():
+            live[o] = True
+    # A chain starts at a unit that reads no computed unit and takes in the
+    # units that read it; chains run one after the other, each level by level.
+    # A bias-only unit goes just before its first reader.
+    level, chain = {}, {}
+    for v in range(d, len(live)):
+        ops = units[v - d][1]
+        if live[v] and ops:
+            deps = [o for o in ops if o in level]
+            level[v] = 1 + max((level[o] for o in deps), default=0)
+            chain[v] = max((chain[o] for o in deps), default=v)
+    placed, stages, now, j = set(range(d)), [], [], 0
+
+    def place(*values):  # not recursive, so no reference cycle keeps the locals
+        for u in values:
+            if u not in placed:
+                placed.add(u)
+                now.append(u)
+
+    for v in [None, *sorted(level, key=lambda v: (chain[v], level[v], v))]:
+        if v is not None:
+            place(*units[v - d][1], v)
+        i = j  # each output term goes in once it and every earlier one can
+        while j < len(outs) and (outs[j][0] in placed or outs[j][0] not in level):
+            place(outs[j][0])
+            j += 1
+        if j > i:
+            stages.append((now, outs[i:j]))
+            now = []
+    # rows by last use; a unit takes its row before its operands free theirs
+    last, t = {}, 0
+    for block, out in stages:
+        for v in block:
+            last.update(dict.fromkeys(units[v - d][1], t))
+            t += 1
+        last.update((o, t) for o, _ in out)
+        t += 1
+    row, free, top, t, program = list(range(d)) + [0] * len(units), [], d, 0, []
+
+    def release(operands):  # a value read twice frees its row once
+        free.extend(row[o] for o in dict.fromkeys(operands) if o >= d and last[o] == t)
+
+    for block, out in stages:
+        body = []
+        for v in block:
+            c, ops, xs = units[v - d]
+            if free:
+                row[v] = free.pop()
+            else:
+                row[v], top = top, top + 1
+            release(ops)
+            t += 1
+            body.append((row[v], c, tuple(zip([row[o] for o in ops], xs))))
+        release(o for o, _ in out)
+        t += 1
+        program.append((tuple(body), tuple((row[o], x) for o, x in out)))
+    # a pass holds no more floats than the inputs, two banks of width w and
+    # the product row did: the register file of an unnumbered program
+    points = max(1, _CHUNK * (d + min(depth, 2) * w + 1) // (top + 1))
+    return _Program(d, top, net.out_a0, None, tuple(program), points)
 
 
 def _compile_standard(net: StandardNet) -> _Program:
@@ -338,7 +436,7 @@ def _compile_standard(net: StandardNet) -> _Program:
         prev = banks[-1]
     nz = np.flatnonzero(net.out_w)
     stages.append(((), _split(prev[nz], net.out_w[nz], [nz.size])[0]))
-    return _Program(d, d + min(net.depth, 2) * widest, net.out_b, None, tuple(stages))
+    return _Program(d, d + min(net.depth, 2) * widest, net.out_b, None, tuple(stages), _CHUNK)
 
 
 def _compile_shallow(net: ShallowNet) -> _Program:
@@ -347,7 +445,7 @@ def _compile_shallow(net: ShallowNet) -> _Program:
     units = _layers(net.a[:, None, :], net.b[:, None], src, np.full((n, 1), d))
     outs = [((d, c),) for c in net.c.tolist()]
     ceiling = 1.0 if net.activation == SIGMOIDAL_ACTIVATION else None
-    return _Program(d, d + 1, net.c0, ceiling, tuple(zip(units, outs)))
+    return _Program(d, d + 1, net.c0, ceiling, tuple(zip(units, outs)), _CHUNK)
 
 
 def _add_terms(z: np.ndarray, terms, rows: list, tmp: np.ndarray, start=None) -> None:
@@ -373,10 +471,13 @@ def _run(prog: _Program, X) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise InputError("evaluation points must be finite")
-    out, regs = np.empty(len(X)), np.empty((prog.registers + 1, min(len(X), _CHUNK)))
-    for a in range(0, len(X), _CHUNK):
-        acc = out[a : a + _CHUNK]
-        regs[: prog.input_dim, : len(acc)] = X[a : a + _CHUNK].T
+    # fewer than _CHUNK points shrink the pass in proportion, and the
+    # register file with it
+    step = max(1, prog.points * min(len(X), _CHUNK) // _CHUNK)
+    out, regs = np.empty(len(X)), np.empty((prog.registers + 1, min(len(X), step)))
+    for a in range(0, len(X), step):
+        acc = out[a : a + step]
+        regs[: prog.input_dim, : len(acc)] = X[a : a + step].T
         *rows, tmp = regs[:, : len(acc)]  # the extra last row holds products
         acc.fill(prog.out_bias)
         for units, out_terms in prog.stages:

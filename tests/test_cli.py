@@ -14,6 +14,7 @@ from relu_forge import (
     build_polynomial,
     build_square,
     deserialize_net,
+    nets,
     serialize_net,
     sigmoidal_to_relu,
 )
@@ -101,6 +102,21 @@ class TestBuild:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["square", "--dim", 2],
+            ["multiply", "--dim", 3],
+            ["poly", "--coeffs", "0,1:1", "--dim", 3],
+        ],
+        ids=["square", "multiply", "poly"],
+    )
+    def test_dim_the_builder_would_ignore_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "net.json"
+        assert run(["build", *argv, "--depth", 2, "-o", out]) == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalVerifyInfo:
     def test_eval_prints_value(self, tmp_path, capsys):
@@ -150,6 +166,18 @@ class TestEvalVerifyInfo:
         assert list(payload) == ["measured", "argmax", "strategy", "points", "bound",
                                  "ratio", "out_of_domain", "passed"]
         assert payload["bound"] == 1e-9 and payload["passed"] is False
+
+    def test_info_shows_the_units_evaluation_computes(self, tmp_path, capsys):
+        out = tmp_path / "runge.json"
+        run(["build", "analytic", "--preset", "runge", "--eps", "1e-6", "--delta", "0.25",
+             "-o", out])
+        capsys.readouterr()
+        assert run(["info", "-i", out]) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        computed, total = fields["eval_units"].split(" of ")
+        assert int(total) == 1404 * 4 and int(computed) <= 1100
+        net, _ = deserialize_net(out.read_text())
+        assert int(fields["eval_rows"]) == nets._compile_skip(net).registers
 
     def test_info_on_standard_document(self, tmp_path, capsys):
         src = tmp_path / "net.json"

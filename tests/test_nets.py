@@ -10,14 +10,17 @@ from relu_forge import (
     Box,
     DocumentInvariantError,
     InputError,
+    PolySpec,
     ShallowNet,
     SkipNet,
     StandardNet,
     StructuralError,
+    add,
     affine_net,
     build_analytic,
     build_monomial,
     build_multiply,
+    build_polynomial,
     build_square,
     eval_skip,
     eval_skip_batch,
@@ -538,3 +541,80 @@ class TestKernelMatchesReference:
         X = net.domain.sample(50, rng)
         self.assert_same_bytes(net, X)
         assert not np.signbit(evaluate_batch(net, X)).any()
+
+    def test_nets_whose_units_repeat(self, rng):
+        even_head = PolySpec(1, {(2,): 0.5, (4,): -0.25, (6,): 0.125, (8,): -1.0})
+        f = make_random_skip(2, 4, 3, rng)
+        for net in (build_polynomial(even_head, 3)[0], add(f, f, 1.0, -0.5)):
+            assert computed_units(net) < net.depth * net.width
+            self.assert_same_bytes(net, net.domain.sample(50, rng))
+
+    def test_unread_channels_are_left_out(self, rng):
+        f = make_random_skip(2, 3, 2, rng)
+        # two channels in front, so a unit kept by mistake would run first
+        widen = lambda a, axes: np.pad(a, [(2 * (i in axes), 0) for i in range(a.ndim)])
+        first_w, first_b = widen(f.first_w, {0}), widen(f.first_b, {0})
+        hidden_wx, hidden_b = widen(f.hidden_wx, {1}), widen(f.hidden_b, {1})
+        first_b[0] = hidden_b[:, 0] = 0.75  # a bias-only free channel
+        first_w[1] = hidden_wx[:, 1] = 0.5  # a channel that reads x
+        net = SkipNet(
+            input_dim=2,
+            first_w=first_w,
+            first_b=first_b,
+            hidden_wx=hidden_wx,
+            hidden_wy=widen(f.hidden_wy, {1, 2}),
+            hidden_b=hidden_b,
+            out_a0=f.out_a0,
+            out_a=f.out_a,
+            out_beta=widen(f.out_beta, {1}),
+            domain=f.domain,
+        )
+        assert computed_units(net) == f.depth * f.width
+        X = net.domain.sample(50, rng)
+        self.assert_same_bytes(net, X)
+        assert evaluate_batch(net, X).tobytes() == evaluate_batch(f, X).tobytes()
+
+    def test_unit_that_reads_a_bias_only_unit(self, rng):
+        net = SkipNet(
+            input_dim=1,
+            first_w=np.array([[0.0], [1.0]]),
+            first_b=np.array([0.75, -0.25]),
+            hidden_wx=np.array([[[0.5], [0.0]]]),
+            hidden_wy=np.array([[[2.0, -1.0], [0.0, 0.0]]]),
+            hidden_b=np.zeros((1, 2)),
+            out_a0=0.0,
+            out_a=np.zeros(1),
+            out_beta=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            domain=Box.symmetric(1),
+        )
+        self.assert_same_bytes(net, net.domain.sample(50, rng))
+
+    def test_units_differing_only_in_the_sign_of_a_zero_bias_stay_apart(self):
+        net = SkipNet(
+            input_dim=1,
+            first_w=np.ones((2, 1)),
+            first_b=np.array([0.0, -0.0]),
+            hidden_wx=(),
+            hidden_wy=(),
+            hidden_b=(),
+            out_a0=0.0,
+            out_a=np.zeros(1),
+            out_beta=np.array([[1.0, -1.0]]),
+            domain=Box.symmetric(1),
+        )
+        assert computed_units(net) == 2
+        self.assert_same_bytes(net, np.array([[-0.0], [0.0], [-0.5], [0.5]]))
+
+
+def computed_units(net) -> int:
+    return sum(len(units) for units, _ in nets._compile_skip(net).stages)
+
+
+def test_numbering_shares_the_runge_chain_within_the_register_budget():
+    runge = build_analytic(preset_series("runge")[0], 1e-6, 0.25).net
+    assert computed_units(runge) <= 1100  # of 5616 in the net
+    for net in (runge, build_multiply(8)[0]):
+        prog = nets._compile_skip(net)
+        d, w = net.input_dim, net.width
+        # the inputs, two banks of width w and the product row, at _CHUNK points
+        assert (prog.registers + 1) * prog.points <= (d + 2 * w + 1) * nets._CHUNK
