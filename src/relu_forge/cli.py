@@ -45,7 +45,7 @@ from .calculus import (
     wide_to_deep,
 )
 from .errors import DocumentError, ParameterError, ReluForgeError
-from .nets import Box, ShallowNet, SkipNet, StandardNet, _compile_skip, evaluate
+from .nets import Box, ShallowNet, SkipNet, StandardNet, _program, evaluate
 from .serialize import deserialize_net, serialize_net
 from .verify import (
     DyadicMidpoints,
@@ -298,6 +298,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _print_eval(net, units: int) -> None:
+    # the evaluator computes each distinct unit once, in this many rows per point
+    prog = _program(net)
+    print(f"eval_units: {sum(len(block) for block, _ in prog.stages)} of {units}")
+    print(f"eval_rows: {prog.registers}")
+
+
 def _cmd_info(args) -> int:
     net, cert = _read_net(args.input)
     print(f"kind: {type(net).__name__}")
@@ -308,15 +315,12 @@ def _cmd_info(args) -> int:
         if net.depth >= 1 and net.width >= 1:
             print(f"standard_width: {net.width + net.input_dim + 1}")
             print(f"params_standard_form: {count_params(net.width, net.depth, net.input_dim)}")
-        # the evaluator computes each distinct unit once, in this many rows per point
-        prog = _compile_skip(net)
-        computed = sum(len(units) for units, _ in prog.stages)
-        print(f"eval_units: {computed} of {net.depth * net.width}")
-        print(f"eval_rows: {prog.registers}")
+        _print_eval(net, net.depth * net.width)
     elif isinstance(net, StandardNet):
         print(f"depth: {net.depth}")
         print(f"widths: {','.join(str(w) for w in net.widths)}")
         print(f"params: {count_params_standard(net)}")
+        _print_eval(net, sum(net.widths))
     elif isinstance(net, ShallowNet):
         print(f"units: {net.units}")
         print(f"activation: {net.activation}")

@@ -16,15 +16,19 @@ Three network kinds are used throughout:
   weighted sum is the output.
 
 Evaluation compiles any of them into one straight-line program: per unit,
-its bias and its nonzero (source, weight) terms in declaration order. A skip
-net's program computes each distinct unit once, however often the net
-repeats it, and leaves out units that no output reads. One kernel runs that
-program over chunks of points. Every sum is formed in declaration order, so
-the output is bit-identical for every chunk size and thread count, and
-zero-weight padding changes no bit.
+its bias and its nonzero (source, weight) terms in declaration order. The
+program of a layered net, skip or standard, is value-numbered: it computes
+each distinct unit once, however often the net repeats it, and leaves out
+units that no output reads; in a standard net, a unit that passes a computed
+unit on unchanged (a carry, an accumulator that adds nothing) costs nothing.
+The first evaluation keeps the program on the net. One kernel runs it over
+chunks of points. Every sum is formed in declaration order, so the output is
+bit-identical for every chunk size and thread count, and zero-weight padding
+changes no bit.
 
-All types are immutable after construction and all functions here are pure,
-so values can be shared freely across threads.
+All types are immutable after construction (the kept program is derived
+from the fields and changes no value) and all functions here are pure, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -274,25 +278,28 @@ class ShallowNet:
 # computes some hidden units, then adds its terms to the output sum. A unit is
 # a register row, a bias and its nonzero (source row, weight) terms in
 # declaration order: input terms, then previous-layer terms, ascending. The
-# registers hold the inputs, then the rows the units write. A standard net's
-# layers alternate between two banks; a shallow net puts every unit on one
-# row, in a stage of its own.
+# registers hold the inputs, then the rows the units write. A shallow net puts
+# every unit on one row, in a stage of its own.
 #
-# A skip net's program is value-numbered: units with the same bias (sign bit
-# included) and the same terms over the same values run the same float
-# operations on the same bits, so each distinct unit is computed once, and
-# units that no output term reads are left out. Output terms keep their
-# order; units are placed chain by chain, and rows are reused after last use.
-# Shared values stay live longer, so such a program needs more rows; it takes
-# fewer points per pass, so that its register file is no larger than the
-# two-bank one at the same points.
+# Skip and standard programs are value-numbered: units with the same bias
+# (sign bit included) and the same terms over the same values run the same
+# float operations on the same bits, so each distinct unit is computed once,
+# and units that no output term reads are left out. In a standard net, a unit
+# with bias +0.0 and one weight-1.0 term on a computed unit is that unit's
+# value: 0.0 + y and max(y, 0) are y for a ReLU output y >= +0.0. A unit that
+# reads an input, which may be -0.0, is always computed. So input carries and
+# unchanged accumulators cost nothing. Output terms keep their order; units
+# are placed chain by chain, and rows are reused after last use. Shared
+# values stay live longer, so such a program needs more rows; it takes fewer
+# points per pass, so that its register file is no larger than the inputs,
+# two layers and the product row take at _CHUNK points.
 #
 # Sums run in that order with one rounding per multiply and per add, so no bit
 # depends on the chunk size or the thread count, and skipping zero weights
 # keeps padding neutral. A +-1 weight is a bare add or subtract, which rounds
 # the same; a shallow net keeps zero output terms (-0.0 + 0 * z is +0.0).
 
-_CHUNK = 1 << 16  # points per two-bank pass; verify's thread pool splits on it too
+_CHUNK = 1 << 16  # points per pass at a program's budget; verify's thread pool splits on it too
 
 
 class _Program(NamedTuple):
@@ -301,7 +308,12 @@ class _Program(NamedTuple):
     out_bias: float
     ceiling: float | None  # clip after the ReLU: 1.0 for the sigmoidal step
     stages: tuple  # ((units, output terms), ...); a unit is (row, bias, terms)
-    points: int  # points per kernel pass, given _CHUNK points or more
+    budget: int  # floats per point, with the product row, of a pass of _CHUNK points
+
+    @property
+    def points(self) -> int:
+        """Points per kernel pass, given _CHUNK points or more."""
+        return max(1, _CHUNK * self.budget // (self.registers + 1))
 
 
 def _split(rows: np.ndarray, weights: np.ndarray, counts) -> list:
@@ -311,52 +323,55 @@ def _split(rows: np.ndarray, weights: np.ndarray, counts) -> list:
     return [tuple(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _layers(W: np.ndarray, b: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list:
-    """Units of stacked layers, one tuple per layer: ``W`` is (layers, units,
-    sources), ``b`` (layers, units); column k of layer l reads row ``src[l, k]``
-    and its unit m writes row ``dst[l, m]``."""
-    l, m, k = np.nonzero(W)
-    width = W.shape[1]
-    terms = _split(src[l, k], W[l, m, k], np.bincount(l * width + m, minlength=b.size))
-    units = list(zip(dst.ravel().tolist(), b.ravel().tolist(), terms))
-    return [tuple(units[i * width : (i + 1) * width]) for i in range(len(W))]
+def _kinds(rows: np.ndarray, alias: bool = False) -> tuple:
+    """Kinds of the rows of a (units, 1 + slots) array of biases and slot
+    weights: the kind of each row and, per kind, its bits, its bias, the slots
+    it reads, their weights, and whether it may alias its one operand.
+
+    A kind is the bits of a row, so -0.0 and +0.0 differ. Rows with equal bits
+    have equal biases, read the same slots and weigh them the same, in any
+    array over the same slots. Given ``alias``, a kind with bias +0.0 and a
+    single weight-1.0 term may alias.
+    """
+    row_bits = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    _, first, kind = np.unique(row_bits, return_index=True, return_inverse=True)
+    kinds = rows[first]
+    reads = [np.flatnonzero(k[1:]) for k in kinds]
+    weights = [tuple(k[1:][r].tolist()) for k, r in zip(kinds, reads)]
+    zero_bias = kinds[:, 0].view(np.uint64) == 0  # +0.0 only
+    identity = [alias and z and x == (1.0,) for z, x in zip(zero_bias.tolist(), weights)]
+    bits = [k.tobytes() for k in kinds]
+    return kind, (bits, kinds[:, 0].tolist(), [r.tolist() for r in reads], weights, identity)
 
 
-def _compile_skip(net: SkipNet) -> _Program:
-    d, w, depth = net.input_dim, net.width, net.depth
-    nz = np.flatnonzero(net.out_a)
-    outs = list(zip(nz.tolist(), net.out_a[nz].tolist()))  # (value id, weight); x_i is id i
-    units = []  # (bias, operand ids, weights) per value id, from d up
-    ids = {}  # (kind, operand ids) -> value id
-    if depth:
-        wx = np.concatenate([net.first_w[None], net.hidden_wx])
-        wy = np.concatenate([np.zeros((1, w, w)), net.hidden_wy])
-        b = np.concatenate([net.first_b[None], net.hidden_b])
-        # column k + 1 weighs slot k: x, then layer l - 1; a unit's kind is the
-        # bits of its bias and weights, so -0.0 and +0.0 differ
-        rows = np.concatenate([b[..., None], wx, wy], axis=2).reshape(depth * w, -1)
-        bits = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-        _, first, kind = np.unique(bits, return_index=True, return_inverse=True)
-        kinds = rows[first]
-        biases = kinds[:, 0].tolist()
-        reads = [np.flatnonzero(k[1:]) for k in kinds]  # the slots each kind reads
-        weights = [tuple(k[1:][r].tolist()) for k, r in zip(kinds, reads)]
-        reads = [r.tolist() for r in reads]
-        vals, layer_vals = list(range(d + w)), []  # value id per slot, per unit
-        for layer in kind.reshape(depth, w).tolist():
-            new = []
-            for k in layer:
-                ops = tuple([vals[s] for s in reads[k]])
-                v = ids.get((k, ops))
-                if v is None:
-                    v = ids[k, ops] = d + len(units)
-                    units.append((biases[k], ops, weights[k]))
-                new.append(v)
-            vals[d:] = new
-            layer_vals += new
-        l, m = np.nonzero(net.out_beta)
-        outs += zip([layer_vals[i] for i in (l * w + m).tolist()], net.out_beta[l, m].tolist())
-    # keep what the output reads; a unit reads only smaller ids
+def _number(layer, kinds, vals, ids: dict, units: list, d: int) -> list:
+    """Value ids of one layer's units, given the kind of each unit (from
+    ``_kinds``) and the value id of each slot they read. A unit is keyed by
+    the bits of its kind and its operand ids, so the blocks of one net share
+    ids; one not seen before gets the next id and joins ``units`` as
+    (bias, operand ids, weights). A unit that may alias reads a computed unit
+    (id >= d) and is it."""
+    bits, biases, reads, weights, identity = kinds
+    new = []
+    for k in layer:
+        ops = tuple([vals[s] for s in reads[k]])
+        if identity[k] and ops[0] >= d:
+            new.append(ops[0])
+            continue
+        key = bits[k], ops
+        v = ids.get(key)
+        if v is None:
+            v = ids[key] = d + len(units)
+            units.append((biases[k], ops, weights[k]))
+        new.append(v)
+    return new
+
+
+def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> _Program:
+    """Program of numbered units (value ids from d up, each reading only
+    smaller ids; x_i is id i) and output terms (value id, weight) in order.
+    ``budget`` is the floats per point that a pass of _CHUNK points may hold."""
+    # keep what the output reads
     live = [False] * (d + len(units))
     for v, _ in outs:
         live[v] = True
@@ -418,34 +433,68 @@ def _compile_skip(net: SkipNet) -> _Program:
         release(o for o, _ in out)
         t += 1
         program.append((tuple(body), tuple((row[o], x) for o, x in out)))
-    # a pass holds no more floats than the inputs, two banks of width w and
-    # the product row did: the register file of an unnumbered program
-    points = max(1, _CHUNK * (d + min(depth, 2) * w + 1) // (top + 1))
-    return _Program(d, top, net.out_a0, None, tuple(program), points)
+    return _Program(d, top, out_bias, None, tuple(program), budget)
+
+
+def _blocks(net: StandardNet):
+    """(layer numbers, stacked weights, stacked biases) per block of a
+    standard net: a run of layers of equal shapes, cut every 2**14 floats so
+    that the stacked copies, and the temporaries made from them, stay small."""
+
+    def block(lwb):
+        layer, (W, b) = lwb
+        return W.shape, b.shape, layer * (W.size + b.size) >> 14
+
+    for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
+        layers, wbs = zip(*run)
+        W, b = (np.stack(a) for a in zip(*wbs))
+        yield layers, W, b
+
+
+def _compile_skip(net: SkipNet) -> _Program:
+    d, w, depth = net.input_dim, net.width, net.depth
+    nz = np.flatnonzero(net.out_a)
+    outs = list(zip(nz.tolist(), net.out_a[nz].tolist()))  # (value id, weight); x_i is id i
+    units, ids = [], {}
+    if depth:
+        wx = np.concatenate([net.first_w[None], net.hidden_wx])
+        wy = np.concatenate([np.zeros((1, w, w)), net.hidden_wy])
+        b = np.concatenate([net.first_b[None], net.hidden_b])
+        # column k + 1 weighs slot k: x, then layer l - 1
+        kind, kinds = _kinds(np.concatenate([b[..., None], wx, wy], axis=2).reshape(depth * w, -1))
+        vals, layer_vals = list(range(d + w)), []  # value id per slot, per unit
+        for layer in kind.reshape(depth, w).tolist():
+            vals[d:] = _number(layer, kinds, vals, ids, units, d)
+            layer_vals += vals[d:]
+        l, m = np.nonzero(net.out_beta)
+        outs += zip([layer_vals[i] for i in (l * w + m).tolist()], net.out_beta[l, m].tolist())
+    # a pass holds no more floats than the inputs, two layers of width w and
+    # the product row did unnumbered
+    return _schedule(d, units, outs, net.out_a0, d + min(depth, 2) * w + 1)
 
 
 def _compile_standard(net: StandardNet) -> _Program:
-    d, widest = net.input_dim, max(net.widths, default=0)
-    stages, prev = [], np.arange(d)
-    for _, group in groupby(range(net.depth), key=lambda l: net.layer_w[l].shape):
-        ls = list(group)
-        banks = d + (np.array(ls) % 2)[:, None] * widest + np.arange(len(net.layer_b[ls[0]]))
-        W = np.stack([net.layer_w[l] for l in ls])
-        b = np.stack([net.layer_b[l] for l in ls])
-        stages += [(units, ()) for units in _layers(W, b, np.vstack([prev, *banks[:-1]]), banks)]
-        prev = banks[-1]
+    d = net.input_dim
+    units, ids, vals = [], {}, list(range(d))  # value id per slot: x, then layer l - 1
+    for _, W, b in _blocks(net):
+        rows = np.concatenate([b[..., None], W], axis=2).reshape(b.size, 1 + W.shape[2])
+        kind, kinds = _kinds(rows, alias=True)
+        for layer in kind.reshape(b.shape).tolist():
+            vals = _number(layer, kinds, vals, ids, units, d)
     nz = np.flatnonzero(net.out_w)
-    stages.append(((), _split(prev[nz], net.out_w[nz], [nz.size])[0]))
-    return _Program(d, d + min(net.depth, 2) * widest, net.out_b, None, tuple(stages), _CHUNK)
+    outs = list(zip([vals[i] for i in nz.tolist()], net.out_w[nz].tolist()))
+    widest = max(net.widths, default=0)
+    return _schedule(d, units, outs, net.out_b, d + min(net.depth, 2) * widest + 1)
 
 
 def _compile_shallow(net: ShallowNet) -> _Program:
     d, n = net.input_dim, net.units
-    src = np.broadcast_to(np.arange(d), (n, d))
-    units = _layers(net.a[:, None, :], net.b[:, None], src, np.full((n, 1), d))
+    l, k = np.nonzero(net.a)  # input k is row k
+    terms = _split(k, net.a[l, k], np.bincount(l, minlength=n))
+    units = [((d, c, t),) for c, t in zip(net.b.tolist(), terms)]
     outs = [((d, c),) for c in net.c.tolist()]
     ceiling = 1.0 if net.activation == SIGMOIDAL_ACTIVATION else None
-    return _Program(d, d + 1, net.c0, ceiling, tuple(zip(units, outs)), _CHUNK)
+    return _Program(d, d + 1, net.c0, ceiling, tuple(zip(units, outs)), d + 2)
 
 
 def _add_terms(z: np.ndarray, terms, rows: list, tmp: np.ndarray, start=None) -> None:
@@ -491,14 +540,26 @@ def _run(prog: _Program, X) -> np.ndarray:
     return out
 
 
+def _program(net) -> _Program:
+    """The net's program, compiled on first use and kept in the instance
+    ``__dict__``, as ``functools.cached_property`` does on a frozen
+    dataclass; it is derived from the fields and changes no value of the net."""
+    if not isinstance(net, (SkipNet, StandardNet, ShallowNet)):
+        raise StructuralError(f"cannot evaluate object of type {type(net).__name__}")
+    prog = vars(net).get("_program")
+    if prog is None:
+        compile_kind = (
+            _compile_skip if isinstance(net, SkipNet)
+            else _compile_standard if isinstance(net, StandardNet)
+            else _compile_shallow
+        )
+        prog = vars(net)["_program"] = compile_kind(net)
+    return prog
+
+
 def evaluate_batch(net, X) -> np.ndarray:
     """Evaluate any supported network type on an (n, d) array of points."""
-    for kind, compile_kind in (
-        (SkipNet, _compile_skip), (StandardNet, _compile_standard), (ShallowNet, _compile_shallow)
-    ):
-        if isinstance(net, kind):
-            return _run(compile_kind(net), X)
-    raise StructuralError(f"cannot evaluate object of type {type(net).__name__}")
+    return _run(_program(net), X)
 
 
 def evaluate(net, x) -> float:
@@ -568,15 +629,21 @@ def _validate_standard(net: StandardNet) -> list:
         p.append("standard net requires at least one hidden layer")
         return p
     prev = net.input_dim
-    for i, (W, b) in enumerate(zip(net.layer_w, net.layer_b)):
-        layer = i + 1
-        if W.ndim != 2 or W.shape != (b.shape[0], prev):
-            p.append(f"layer {layer} weight shape {W.shape} does not chain from width {prev}")
-            prev = W.shape[0] if W.ndim == 2 else prev
-            continue
-        _finite(f"layer {layer}", W, p)
-        _finite(f"layer {layer} bias", b, p)
-        prev = W.shape[0]
+    # one finiteness test per block; the messages keep layer order
+    for layers, Ws, bs in _blocks(net):
+        w_ok, b_ok = (
+            np.isfinite(a).reshape(len(layers), -1).all(axis=1).tolist() for a in (Ws, bs)
+        )
+        for layer, W, b, w_fin, b_fin in zip(layers, Ws, bs, w_ok, b_ok):
+            if W.ndim != 2 or W.shape != (b.shape[0], prev):
+                p.append(f"layer {layer} weight shape {W.shape} does not chain from width {prev}")
+                prev = W.shape[0] if W.ndim == 2 else prev
+                continue
+            if not w_fin:
+                p.append(f"non-finite weight in layer {layer}")
+            if not b_fin:
+                p.append(f"non-finite weight in layer {layer} bias")
+            prev = W.shape[0]
     if net.out_w.shape != (prev,):
         p.append(f"output weight shape {net.out_w.shape} != ({prev},)")
     _finite("output", net.out_w, p)

@@ -179,6 +179,19 @@ class TestEvalVerifyInfo:
         net, _ = deserialize_net(out.read_text())
         assert int(fields["eval_rows"]) == nets._compile_skip(net).registers
 
+    def test_info_shows_the_units_standard_evaluation_computes(self, tmp_path, capsys):
+        src, dst = tmp_path / "runge.json", tmp_path / "std.json"
+        run(["build", "analytic", "--preset", "runge", "--eps", "1e-6", "--delta", "0.25",
+             "-o", src])
+        run(["convert", "skip2std", "-i", src, "-o", dst])
+        capsys.readouterr()
+        assert run(["info", "-i", dst]) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        computed, total = fields["eval_units"].split(" of ")
+        assert int(total) == 1404 * 6 and int(computed) <= 1300
+        net, _ = deserialize_net(dst.read_text())
+        assert int(fields["eval_rows"]) == nets._compile_standard(net).registers
+
     def test_info_on_standard_document(self, tmp_path, capsys):
         src = tmp_path / "net.json"
         dst = tmp_path / "std.json"

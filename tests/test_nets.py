@@ -33,6 +33,7 @@ from relu_forge import (
     preset_series,
     skip_to_standard,
     validate,
+    wide_to_deep,
 )
 from relu_forge.serialize import from_document, to_document
 
@@ -295,6 +296,25 @@ class TestValidate:
             domain=Box.symmetric(2),
         )
         assert any("chain" in p for p in validate(bad))
+
+    def test_standard_messages_keep_layer_order(self):
+        layer_w = [np.ones((2, 1))] + [np.ones((2, 2)) for _ in range(6)]
+        layer_b = [np.zeros(2) for _ in range(7)]
+        layer_w[1][0, 1] = np.nan
+        layer_w[3] = np.ones((2, 3))
+        layer_b[5][1] = np.nan
+        layer_w[6][1, 0] = np.inf
+        layer_b[6][0] = -np.inf
+        out_w = np.array([1.0, np.nan])
+        bad = StandardNet(1, tuple(layer_w), tuple(layer_b), out_w, 0.0, Box.symmetric(1))
+        assert validate(bad) == [
+            "non-finite weight in layer 2",
+            "layer 4 weight shape (2, 3) does not chain from width 2",
+            "non-finite weight in layer 6 bias",
+            "non-finite weight in layer 7",
+            "non-finite weight in layer 7 bias",
+            "non-finite weight in output",
+        ]
 
 
 class TestIntervalBounds:
@@ -605,9 +625,80 @@ class TestKernelMatchesReference:
         assert computed_units(net) == 2
         self.assert_same_bytes(net, np.array([[-0.0], [0.0], [-0.5], [0.5]]))
 
+    def test_relu_turns_negative_zero_positive(self):
+        # the fact that lets a +0.0-bias identity unit alias a computed unit
+        for n in (1, 7, 33):
+            z = np.full(n, -0.0)
+            np.maximum(z, 0.0, out=z)
+            assert not np.signbit(z).any()
+
+    def test_carry_that_reads_an_input_is_computed(self):
+        net = chain_net([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+        assert program_units(net) == 1  # the carry of x; the carry of the carry aliases it
+        X = np.array([[-0.0], [0.0], [-0.5], [0.5]])
+        self.assert_same_bytes(net, X)
+        assert not np.signbit(evaluate_batch(net, X)).any()  # 0.0 + -0.0, not x
+
+    def test_identity_with_negative_zero_bias_is_computed(self, rng):
+        net = chain_net([np.ones((1, 1)), np.ones((1, 1))], [np.full(1, -0.5), np.full(1, -0.0)])
+        assert program_units(net) == 2
+        self.assert_same_bytes(net, np.vstack([[[-0.0], [0.0]], net.domain.sample(50, rng)]))
+
+    def test_chain_of_identity_units(self, rng):
+        first_w, first_b = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 3)
+        layer_w, layer_b = [first_w, *[np.eye(3)] * 5], [first_b, *[np.zeros(3)] * 5]
+        net = chain_net(layer_w, layer_b, rng.uniform(-1, 1, 3))
+        assert program_units(net) == 3
+        self.assert_same_bytes(net, net.domain.sample(50, rng))
+
+    def test_wide_to_deep_on_uneven_partitions(self, rng):
+        # every layer has its own shape, so its kinds come from a block of their own
+        for partition in ([2, 4, 3], [1, 5, 1, 2], [3, 1, 3, 1, 3]):
+            s = make_random_shallow(2, sum(partition), rng)
+            deep = wide_to_deep(s, partition)
+            X = s.domain.sample(50, rng)
+            self.assert_same_bytes(deep, X)
+            assert np.abs(evaluate_batch(deep, X) - evaluate_batch(s, X)).max() <= 1e-12
+
+    def test_standard_runge_shares_its_chain_within_the_register_budget(self, rng, monkeypatch):
+        std = skip_to_standard(build_analytic(preset_series("runge")[0], 1e-6, 0.25).net)
+        prog = nets._program(std)
+        assert program_units(std) <= 1300  # of 8424 in the net
+        # the inputs, two layers of the widest width and the product row, at _CHUNK points
+        floats = std.input_dim + 2 * max(std.widths) + 1
+        for chunk in (7, 1 << 16):
+            monkeypatch.setattr(nets, "_CHUNK", chunk)
+            assert (prog.registers + 1) * prog.points <= floats * chunk
+        monkeypatch.setattr(nets, "_CHUNK", 7)
+        self.assert_same_bytes(std, std.domain.sample(20, rng))
+
+    def test_program_kept_on_the_net_runs_passes_of_the_current_chunk(self, rng, monkeypatch):
+        net = skip_to_standard(build_square(4)[0])
+        monkeypatch.setattr(nets, "_CHUNK", 1 << 16)
+        prog = nets._program(net)
+        monkeypatch.setattr(nets, "_CHUNK", 7)
+        assert nets._program(net) is prog and prog.points < 25
+        self.assert_same_bytes(net, net.domain.sample(50, rng))
+
 
 def computed_units(net) -> int:
     return sum(len(units) for units, _ in nets._compile_skip(net).stages)
+
+
+def program_units(net) -> int:
+    return sum(len(units) for units, _ in nets._program(net).stages)
+
+
+def chain_net(layer_w, layer_b, out_w=(1.0,)) -> StandardNet:
+    """Standard net over the unit box; its output bias -0.0 shows the sign of a zero sum."""
+    return StandardNet(
+        input_dim=layer_w[0].shape[1],
+        layer_w=tuple(layer_w),
+        layer_b=tuple(layer_b),
+        out_w=np.array(out_w),
+        out_b=-0.0,
+        domain=Box.symmetric(layer_w[0].shape[1]),
+    )
 
 
 def test_numbering_shares_the_runge_chain_within_the_register_budget():

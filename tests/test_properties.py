@@ -10,6 +10,7 @@ from relu_forge import (
     equivalence_check,
     eval_shallow_batch,
     eval_skip_batch,
+    eval_standard_batch,
     pad_width,
     serialize_net,
     sigmoidal_to_relu,
@@ -18,6 +19,8 @@ from relu_forge import (
     wide_to_deep,
 )
 from relu_forge.nets import Box, ShallowNet, SkipNet
+
+from test_nets import reference_forward
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -106,6 +109,16 @@ def test_skip_to_standard_preserves_function(net):
     assert validate(std) == []
     rep = equivalence_check(net, std, net.domain, 2000, 11, 1e-9)
     assert rep.passed
+
+
+@settings(max_examples=20, deadline=None)
+@given(skip_nets(), st.booleans())
+def test_standard_form_kernel_matches_reference_bytes(net, repeat):
+    if repeat:  # two copies of every block, whose units the program computes once
+        net = add(net, net, 1.0, -0.5)
+    std = skip_to_standard(net)
+    X = net.domain.sample(100, np.random.default_rng(4))
+    assert eval_standard_batch(std, X).tobytes() == reference_forward(std, X)[0].tobytes()
 
 
 @settings(max_examples=20, deadline=None)

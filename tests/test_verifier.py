@@ -15,6 +15,7 @@ from relu_forge import (
     build_square,
     convergence_sweep,
     equivalence_check,
+    nets,
     skip_to_standard,
     strategy_points,
     sup_error,
@@ -85,6 +86,22 @@ class TestSupError:
         ]
         assert len({r.measured for r in reports}) == 1
         assert len({r.argmax for r in reports}) == 1
+
+    def test_net_compiles_once_across_chunks(self, monkeypatch):
+        compiled = []
+
+        def counting(net):
+            compiled.append(net)
+            return compile_skip(net)
+
+        compile_skip = nets._compile_skip
+        monkeypatch.setattr(nets, "_compile_skip", counting)
+        net, _ = build_square(6)
+        points = 2 * nets._CHUNK + 5  # three chunks for the thread pool
+        rep = sup_error(net, lambda X: X[:, 0] ** 2, net.domain, Uniform(points), threads=2)
+        assert rep.points == points and compiled == [net]
+        sup_error(net, lambda X: X[:, 0] ** 2, net.domain, Uniform(points), threads=2)
+        assert compiled == [net]
 
     def test_out_of_domain_flagged(self):
         net, _ = build_square(2)
