@@ -267,7 +267,7 @@ def _cmd_verify(args) -> int:
     report = sup_error(
         net, target, box, strategy, certificate=cert, threads=args.threads
     )
-    failed = report.bound is not None and report.measured > report.bound
+    failed = report.within_bound is False
     if args.tol is not None and report.measured > args.tol:
         failed = True
     print(json.dumps({**dataclasses.asdict(report), "passed": not failed}, indent=2))

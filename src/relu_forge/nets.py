@@ -33,6 +33,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, NamedTuple
@@ -278,8 +279,7 @@ class ShallowNet:
 # computes some hidden units, then adds its terms to the output sum. A unit is
 # a register row, a bias and its nonzero (source row, weight) terms in
 # declaration order: input terms, then previous-layer terms, ascending. The
-# registers hold the inputs, then the rows the units write. A shallow net puts
-# every unit on one row, in a stage of its own.
+# registers hold the inputs, then the rows the units write.
 #
 # Skip and standard programs are value-numbered: units with the same bias
 # (sign bit included) and the same terms over the same values run the same
@@ -288,11 +288,19 @@ class ShallowNet:
 # with bias +0.0 and one weight-1.0 term on a computed unit is that unit's
 # value: 0.0 + y and max(y, 0) are y for a ReLU output y >= +0.0. A unit that
 # reads an input, which may be -0.0, is always computed. So input carries and
-# unchanged accumulators cost nothing. Output terms keep their order; units
-# are placed chain by chain, and rows are reused after last use. Shared
-# values stay live longer, so such a program needs more rows; it takes fewer
-# points per pass, so that its register file is no larger than the inputs,
-# two layers and the product row take at _CHUNK points.
+# unchanged accumulators cost nothing.
+#
+# _schedule makes every program, shallow ones included, in one placement pass.
+# It counts each value's reads, once per distinct live unit that reads it and
+# once per output term; a value with none is dead. Output terms keep their
+# order; units are placed chain by chain, a unit takes a free row as it is
+# placed, and a row is freed when its value's count reaches zero. So a shallow
+# unit takes the row its predecessor freed, in a stage of its own, unless its
+# direction is all zero: it then reads nothing and joins the previous stage on
+# a row of its own. Shared values stay live longer, so a numbered program
+# needs more rows; it takes fewer points per pass, so that its register file
+# is no larger than the inputs, two layers and the product row take at
+# _CHUNK points.
 #
 # Sums run in that order with one rounding per multiply and per add, so no bit
 # depends on the chunk size or the thread count, and skipping zero weights
@@ -314,13 +322,6 @@ class _Program(NamedTuple):
     def points(self) -> int:
         """Points per kernel pass, given _CHUNK points or more."""
         return max(1, _CHUNK * self.budget // (self.registers + 1))
-
-
-def _split(rows: np.ndarray, weights: np.ndarray, counts) -> list:
-    """Flat (row, weight) terms cut into consecutive groups of ``counts``."""
-    terms = list(zip(rows.tolist(), weights.tolist()))
-    ends = np.cumsum(counts, dtype=int).tolist()
-    return [tuple(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _kinds(rows: np.ndarray, alias: bool = False) -> tuple:
@@ -370,69 +371,55 @@ def _number(layer, kinds, vals, ids: dict, units: list, d: int) -> list:
 def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> _Program:
     """Program of numbered units (value ids from d up, each reading only
     smaller ids; x_i is id i) and output terms (value id, weight) in order.
-    ``budget`` is the floats per point that a pass of _CHUNK points may hold."""
-    # keep what the output reads
-    live = [False] * (d + len(units))
+    It counts the reads of each value, then places the units in one pass:
+    each takes a free row as it is placed, and a value's row is freed when
+    its count reaches zero. ``budget`` is the floats per point that a pass of
+    _CHUNK points may hold."""
+    # one read per distinct live unit that reads a value and per output term;
+    # a value with no read is dead
+    reads = [0] * (d + len(units))
     for v, _ in outs:
-        live[v] = True
-    for v in range(len(live) - 1, d - 1, -1):
-        for o in units[v - d][1] if live[v] else ():
-            live[o] = True
+        reads[v] += 1
+    for v in range(len(reads) - 1, d - 1, -1):
+        for o in set(units[v - d][1]) if reads[v] else ():
+            reads[o] += 1
     # A chain starts at a unit that reads no computed unit and takes in the
     # units that read it; chains run one after the other, each level by level.
     # A bias-only unit goes just before its first reader.
     level, chain = {}, {}
-    for v in range(d, len(live)):
+    for v in range(d, len(reads)):
         ops = units[v - d][1]
-        if live[v] and ops:
+        if reads[v] and ops:
             deps = [o for o in ops if o in level]
             level[v] = 1 + max((level[o] for o in deps), default=0)
             chain[v] = max((chain[o] for o in deps), default=v)
-    placed, stages, now, j = set(range(d)), [], [], 0
+    row, free, body, program, top, j = list(range(d)) + [None] * len(units), [], [], [], d, 0
+
+    def release(values):  # one read each; a value read for the last time frees its row
+        for o in values:
+            reads[o] -= 1
+        free.extend(row[o] for o in dict.fromkeys(values) if o >= d and not reads[o])
 
     def place(*values):  # not recursive, so no reference cycle keeps the locals
+        nonlocal top
         for u in values:
-            if u not in placed:
-                placed.add(u)
-                now.append(u)
+            if row[u] is None:  # a unit takes its row before its operands free theirs
+                c, ops, xs = units[u - d]
+                row[u], top = (free.pop(), top) if free else (top, top + 1)
+                release(dict.fromkeys(ops))
+                body.append((row[u], c, tuple(zip([row[o] for o in ops], xs))))
 
     for v in [None, *sorted(level, key=lambda v: (chain[v], level[v], v))]:
         if v is not None:
             place(*units[v - d][1], v)
         i = j  # each output term goes in once it and every earlier one can
-        while j < len(outs) and (outs[j][0] in placed or outs[j][0] not in level):
+        while j < len(outs) and (row[outs[j][0]] is not None or outs[j][0] not in level):
             place(outs[j][0])
             j += 1
         if j > i:
-            stages.append((now, outs[i:j]))
-            now = []
-    # rows by last use; a unit takes its row before its operands free theirs
-    last, t = {}, 0
-    for block, out in stages:
-        for v in block:
-            last.update(dict.fromkeys(units[v - d][1], t))
-            t += 1
-        last.update((o, t) for o, _ in out)
-        t += 1
-    row, free, top, t, program = list(range(d)) + [0] * len(units), [], d, 0, []
-
-    def release(operands):  # a value read twice frees its row once
-        free.extend(row[o] for o in dict.fromkeys(operands) if o >= d and last[o] == t)
-
-    for block, out in stages:
-        body = []
-        for v in block:
-            c, ops, xs = units[v - d]
-            if free:
-                row[v] = free.pop()
-            else:
-                row[v], top = top, top + 1
-            release(ops)
-            t += 1
-            body.append((row[v], c, tuple(zip([row[o] for o in ops], xs))))
-        release(o for o, _ in out)
-        t += 1
-        program.append((tuple(body), tuple((row[o], x) for o, x in out)))
+            release([o for o, _ in outs[i:j]])
+            program.append((tuple(body), tuple((row[o], x) for o, x in outs[i:j])))
+            body.clear()
     return _Program(d, top, out_bias, None, tuple(program), budget)
 
 
@@ -488,13 +475,12 @@ def _compile_standard(net: StandardNet) -> _Program:
 
 
 def _compile_shallow(net: ShallowNet) -> _Program:
-    d, n = net.input_dim, net.units
-    l, k = np.nonzero(net.a)  # input k is row k
-    terms = _split(k, net.a[l, k], np.bincount(l, minlength=n))
-    units = [((d, c, t),) for c, t in zip(net.b.tolist(), terms)]
-    outs = [((d, c),) for c in net.c.tolist()]
-    ceiling = 1.0 if net.activation == SIGMOIDAL_ACTIVATION else None
-    return _Program(d, d + 1, net.c0, ceiling, tuple(zip(units, outs)), d + 2)
+    d = net.input_dim
+    nz = [np.flatnonzero(a) for a in net.a]  # input k is id k
+    units = [(b, k.tolist(), a[k].tolist()) for a, b, k in zip(net.a, net.b.tolist(), nz)]
+    outs = list(zip(range(d, d + net.units), net.c.tolist()))  # zero weights too
+    prog = _schedule(d, units, outs, net.c0, d + 2)
+    return prog._replace(ceiling=1.0) if net.activation == SIGMOIDAL_ACTIVATION else prog
 
 
 def _add_terms(z: np.ndarray, terms, rows: list, tmp: np.ndarray, start=None) -> None:
@@ -540,20 +526,24 @@ def _run(prog: _Program, X) -> np.ndarray:
     return out
 
 
+_compiling = threading.Lock()
+
+
 def _program(net) -> _Program:
     """The net's program, compiled on first use and kept in the instance
     ``__dict__``, as ``functools.cached_property`` does on a frozen
     dataclass; it is derived from the fields and changes no value of the net."""
     if not isinstance(net, (SkipNet, StandardNet, ShallowNet)):
         raise StructuralError(f"cannot evaluate object of type {type(net).__name__}")
-    prog = vars(net).get("_program")
-    if prog is None:
-        compile_kind = (
-            _compile_skip if isinstance(net, SkipNet)
-            else _compile_standard if isinstance(net, StandardNet)
-            else _compile_shallow
-        )
-        prog = vars(net)["_program"] = compile_kind(net)
+    with _compiling:  # threads that evaluate one net wait for its one compile
+        prog = vars(net).get("_program")
+        if prog is None:
+            compile_kind = (
+                _compile_skip if isinstance(net, SkipNet)
+                else _compile_standard if isinstance(net, StandardNet)
+                else _compile_shallow
+            )
+            prog = vars(net)["_program"] = compile_kind(net)
     return prog
 
 

@@ -16,7 +16,6 @@ output array, so results are identical for every thread count.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 from .builders import BoundCertificate
 from .calculus import count_params
 from .errors import ParameterError, StructuralError
-from .nets import _CHUNK, Box, _program, evaluate_batch
+from .nets import _CHUNK, Box, evaluate_batch
 
 __all__ = [
     "Uniform",
@@ -110,16 +109,14 @@ def _evaluate_threaded(net, X: np.ndarray, threads) -> np.ndarray:
     n = X.shape[0]
     if not threads or threads <= 1 or n <= _CHUNK:
         return evaluate_batch(net, X)
-    out, compiling = np.empty(n), threading.Lock()
+    out = np.empty(n)
     spans = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         def work(span):
             a, b = span
-            # One worker compiles the program the net keeps, and the others wait
-            # for it. Compiled in the calling thread before the pool instead, the
-            # peak RSS of threaded sweeps varied by 10 MB and more between runs.
-            with compiling:
-                _program(net)
+            # The first worker compiles the program the net keeps, and the others
+            # wait for it. Compiled in the calling thread before the pool instead,
+            # the peak RSS of threaded sweeps varied by 10 MB and more between runs.
             out[a:b] = evaluate_batch(net, X[a:b])
         list(pool.map(work, spans))
     return out
@@ -262,7 +259,7 @@ def convergence_sweep(build, target, depths, box: Box, strategy_for, threads=Non
                 params=count_params(net.width, net.depth, net.input_dim),
                 bound=cert.bound,
                 measured=report.measured,
-                ratio=report.measured / cert.bound if cert.bound > 0.0 else 0.0,
+                ratio=0.0 if report.ratio is None else report.ratio,
             )
         )
     return rows

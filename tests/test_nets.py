@@ -1,7 +1,10 @@
 """Core type behavior: evaluation, validation, interval analysis."""
 
 import functools
+import math
 import operator
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from relu_forge import (
     DocumentInvariantError,
     InputError,
     PolySpec,
+    SeriesSpec,
     ShallowNet,
     SkipNet,
     StandardNet,
@@ -562,6 +566,17 @@ class TestKernelMatchesReference:
         self.assert_same_bytes(net, X)
         assert not np.signbit(evaluate_batch(net, X)).any()
 
+    @pytest.mark.parametrize("activation", [nets.RELU_ACTIVATION, nets.SIGMOIDAL_ACTIVATION])
+    def test_shallow_with_zero_directions_and_zero_coefficients(self, rng, activation):
+        # a unit with an all-zero direction reads nothing, so it joins the
+        # previous unit's stage; the first one opens the program
+        s = make_random_shallow(2, 7, rng, activation)
+        a, c = s.a.copy(), s.c.copy()
+        a[[0, 3, 4]] = 0.0
+        c[[1, 4, 6]] = 0.0
+        net = ShallowNet(2, a, s.b, c, -0.0, activation, s.domain)
+        self.assert_same_bytes(net, np.vstack([[[-0.0, 0.0]], net.domain.sample(50, rng)]))
+
     def test_nets_whose_units_repeat(self, rng):
         even_head = PolySpec(1, {(2,): 0.5, (4,): -0.25, (6,): 0.125, (8,): -1.0})
         f = make_random_skip(2, 4, 3, rng)
@@ -701,6 +716,26 @@ def chain_net(layer_w, layer_b, out_w=(1.0,)) -> StandardNet:
     )
 
 
+def test_threads_evaluating_one_net_compile_it_once(monkeypatch, rng):
+    compiled, compile_skip = [], nets._compile_skip
+
+    def counting(net):
+        compiled.append(net)
+        return compile_skip(net)
+
+    monkeypatch.setattr(nets, "_compile_skip", counting)
+    net = build_multiply(6)[0]
+    X = net.domain.sample(20, rng)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            outs = list(pool.map(lambda _: evaluate_batch(net, X).tobytes(), range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert compiled == [net] and len(set(outs)) == 1
+
+
 def test_numbering_shares_the_runge_chain_within_the_register_budget():
     runge = build_analytic(preset_series("runge")[0], 1e-6, 0.25).net
     assert computed_units(runge) <= 1100  # of 5616 in the net
@@ -709,3 +744,35 @@ def test_numbering_shares_the_runge_chain_within_the_register_budget():
         d, w = net.input_dim, net.width
         # the inputs, two banks of width w and the product row, at _CHUNK points
         assert (prog.registers + 1) * prog.points <= (d + 2 * w + 1) * nets._CHUNK
+
+
+@pytest.mark.parametrize(
+    "make, units, rows",
+    [
+        (lambda: build_analytic(preset_series("runge")[0], 1e-10, 0.25).net, 3220, 48),
+        (lambda: skip_to_standard(build_analytic(preset_series("runge")[0], 1e-8, 0.25).net),
+         2432, 75),
+        (lambda: build_multiply(8)[0], 48, 6),
+        (lambda: build_polynomial(PolySpec(2, {(0, 0): 1.0, (2, 0): -1.0, (1, 1): 0.5}), 6)[0],
+         36, 18),
+    ],
+    ids=["runge 1e-10", "runge 1e-8 standard", "multiply 8", "acceptance poly 6"],
+)
+def test_benchmark_programs_keep_their_units_within_their_rows(make, units, rows):
+    # a better unit order may lower the rows, never raise them
+    net = make()
+    assert program_units(net) == units and nets._program(net).registers <= rows
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_branching_2d_head_fits_in_few_rows():
+    # exp((x1 + x2) / 2); its degree-n coefficients sum to 1/n!, so the 1-d
+    # exp tail bounds its tail
+    coeffs = {
+        (i, j): 1.0 / (2 ** (i + j) * math.factorial(i) * math.factorial(j))
+        for i in range(41)
+        for j in range(41 - i)
+    }
+    exp2 = SeriesSpec(PolySpec(2, coeffs), tail_l1_bound=preset_series("exp")[0].tail_l1_bound)
+    net = build_analytic(exp2, 1e-6, 0.25).net
+    assert nets._compile_skip(net).registers <= 200
