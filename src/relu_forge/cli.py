@@ -193,9 +193,13 @@ def _read_net(path: str):
 
 
 def _write_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
+    import stat
+    try:  # in place: emptying a file as it is opened can stall ext4 for 0.1 s
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe cannot be truncated
+                fh.truncate()
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 

@@ -716,16 +716,16 @@ def interval_bounds(net, box: Box) -> IntervalReport:
     pre_lo, pre_hi, post_lo, post_hi, term_lo, term_hi = [], [], [], [], [], []
     if isinstance(net, SkipNet):
         if net.depth > 0:
-            # the input part of every hidden layer at once; the bias 0.0 and
-            # adding the previous-layer part after it keep the per-layer bits
+            # the input part of every hidden layer and the sign split of every
+            # hidden_wy at once; bias 0.0 and adding the y part keep the bits
             xlo, xhi = _affine_range(net.hidden_wx, 0.0, box.lo, box.hi)
+            pos, neg = np.clip(net.hidden_wy, 0.0, None), np.clip(net.hidden_wy, None, 0.0)
             lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
             for l in range(net.depth):
                 if l:
-                    ylo, yhi = _affine_range(
-                        net.hidden_wy[l - 1], net.hidden_b[l - 1], post_lo[-1], post_hi[-1]
-                    )
-                    lo, hi = xlo[l - 1] + ylo, xhi[l - 1] + yhi
+                    p, n, b = pos[l - 1], neg[l - 1], net.hidden_b[l - 1]
+                    lo = xlo[l - 1] + (b + p @ post_lo[-1] + n @ post_hi[-1])
+                    hi = xhi[l - 1] + (b + p @ post_hi[-1] + n @ post_lo[-1])
                 pre_lo.append(lo)
                 pre_hi.append(hi)
                 post_lo.append(np.maximum(lo, 0.0))

@@ -298,8 +298,9 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare two nets on seeded random points.
 
-    Passes when ``|a(x) - b(x)| <= tol * (1 + |a(x)|)`` at every sample.
-    Identical seeds give bit-identical reports.
+    Passes when ``|a(x) - b(x)| <= tol * (1 + |a(x)|)`` at every sample;
+    ``argmax`` and ``max_deviation`` are at the largest normalized deviation,
+    which decides it. Identical seeds give bit-identical reports.
     """
     if net_a.input_dim != net_b.input_dim:
         raise StructuralError("nets have different input dimensions")
@@ -311,8 +312,8 @@ def equivalence_check(
     vb = evaluate_batch(net_b, X)
     dev = np.abs(va - vb)
     normalized = dev / (1.0 + np.abs(va))
-    idx = int(np.argmax(dev))
-    worst = float(np.max(normalized))
+    idx = int(np.argmax(normalized))
+    worst = float(normalized[idx])
     return EquivalenceReport(
         max_deviation=float(dev[idx]),
         argmax=tuple(float(v) for v in X[idx]),

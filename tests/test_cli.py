@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -284,6 +286,71 @@ class TestRunSweepsScript:
         assert sorted(p.stem for p in tmp_path.glob("*.csv")) == names
         assert run(["sweep", "square", "--depths", "1:12"]) == 0
         assert (tmp_path / "square.csv").read_text() == capsys.readouterr().out
+
+
+class TestOutputFiles:
+    """``-o`` and ``--csv`` rewrite an existing file in place."""
+
+    def test_short_document_replaces_a_deep_one(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        assert run(["build", "analytic", "--preset", "runge", "--eps", "1e-6",
+                    "--delta", "0.25", "-o", out]) == 0
+        deep_size = out.stat().st_size
+        assert run(["build", "square", "--depth", 1, "-o", out]) == 0
+        assert out.read_bytes() == serialize_net(*build_square(1)).encode("utf-8")
+        assert out.stat().st_size < deep_size
+        assert run(["verify", "-i", out, "--target", "square", "--strategy", "dyadic:3"]) == 0
+
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        assert run(["build", "square", "--depth", 4, "-o", out]) == 0
+        out.chmod(0o640)
+        before = out.stat()
+        assert run(["build", "square", "--depth", 2, "-o", out]) == 0
+        after = out.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert out.read_bytes() == serialize_net(*build_square(2)).encode("utf-8")
+
+    def test_symlink_writes_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "real.json", tmp_path / "link.json"
+        target.write_text("x" * 10_000)
+        link.symlink_to(target)
+        assert run(["build", "square", "--depth", 2, "-o", link]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == serialize_net(*build_square(2)).encode("utf-8")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    def test_pipe_receives_the_document(self, capsys):
+        r, w = os.pipe()
+        try:
+            code = run(["build", "square", "--depth", 2, "-o", f"/dev/fd/{w}"])
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            data = fh.read()
+        assert code == 0
+        assert data == serialize_net(*build_square(2)).encode("utf-8")
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        assert run(["build", "square", "--depth", 2, "-o", tmp_path]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_outputs_are_never_truncated_on_open(self, tmp_path, monkeypatch, capsys):
+        flags, real_open = [], os.open
+
+        def spy(path, fl, *args, **kwargs):
+            flags.append(fl)
+            return real_open(path, fl, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        net, csv = tmp_path / "net.json", tmp_path / "out.csv"
+        for argv in (["build", "square", "--depth", 3, "-o", net],
+                     ["convert", "skip2std", "-i", net, "-o", net],
+                     ["sweep", "square", "--depths", "2:3", "--csv", csv]):
+            assert run(argv) == 0
+        assert len(flags) == 3
+        assert not any(fl & os.O_TRUNC for fl in flags)
 
 
 class TestThreads:

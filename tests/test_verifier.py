@@ -226,6 +226,17 @@ class TestEquivalenceCheck:
         b = equivalence_check(net, std, net.domain, 5000, 77, 1e-9)
         assert a == b
 
+    def test_argmax_is_the_sample_that_decides_passed(self):
+        box = Box.symmetric(1)
+        a = affine_net(0.0, [100.0], box)
+        b = affine_net(1.0, [101.0], box)
+        rep = equivalence_check(a, b, box, 1000, 3, 1e-9)
+        # |a - b| = |1 + x| peaks at x = 1; divided by 1 + |a| = 1 + 100|x| it peaks at x = 0
+        (x,) = rep.argmax
+        assert abs(x) < 0.01 and rep.max_deviation < 1.5
+        assert rep.normalized == pytest.approx(rep.max_deviation / (1.0 + 100.0 * abs(x)), rel=1e-12)
+        assert not rep.passed
+
     def test_dimension_mismatch(self):
         n1, _ = build_square(2)
         n2, _ = build_multiply(2)
