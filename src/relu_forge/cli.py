@@ -192,13 +192,27 @@ def _read_net(path: str):
         raise ParameterError(f"cannot read {path}: {exc}") from exc
 
 
+def _is_stdout(fd: int) -> bool:
+    try:
+        return os.path.samestat(os.fstat(fd), os.fstat(1))
+    except OSError:  # standard output is closed
+        return False
+
+
 def _write_text(path: str, text: str):
     import stat
     try:  # in place: emptying a file as it is opened can stall ext4 for 0.1 s
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        mode = os.fstat(fd).st_mode
+        if fd != 1 and _is_stdout(fd):
+            # `-o /dev/stdout >> log` opens the log anew at offset 0: write
+            # where standard output writes, after what it holds, and cut nothing
+            os.close(fd)
+            sys.stdout.flush()
+            fd, mode = os.dup(1), 0
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe cannot be truncated
+            if stat.S_ISREG(mode):  # a pipe cannot be truncated
                 fh.truncate()
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}") from exc

@@ -16,11 +16,13 @@ Three network kinds are used throughout:
   weighted sum is the output.
 
 Evaluation compiles any of them into one straight-line program: per unit,
-its bias and its nonzero (source, weight) terms in declaration order. The
-program of a layered net, skip or standard, is value-numbered: it computes
-each distinct unit once, however often the net repeats it, and leaves out
-units that no output reads; in a standard net, a unit that passes a computed
-unit on unchanged (a carry, an accumulator that adds nothing) costs nothing.
+its bias and its nonzero (source, weight) terms in declaration order. Every
+program is value-numbered under one slot rule: a layer reads x, then the
+layer before it. A standard layer after the first is a skip layer that reads
+no input, and a shallow net is one first layer. So the program computes each
+distinct unit once, however often the net repeats it, and leaves out units
+that no output reads; in a standard net, a unit that passes a computed unit
+on unchanged (a carry, an accumulator that adds nothing) costs nothing.
 The first evaluation keeps the program on the net. One kernel runs it over
 chunks of points. Every sum is formed in declaration order, so the output is
 bit-identical for every chunk size and thread count, and zero-weight padding
@@ -281,10 +283,14 @@ class ShallowNet:
 # declaration order: input terms, then previous-layer terms, ascending. The
 # registers hold the inputs, then the rows the units write.
 #
-# Skip and standard programs are value-numbered: units with the same bias
-# (sign bit included) and the same terms over the same values run the same
-# float operations on the same bits, so each distinct unit is computed once,
-# and units that no output term reads are left out. In a standard net, a unit
+# _numbered numbers the units of every kind in one loop, under one slot rule:
+# a layer reads x, then the layer before it, so a unit's row is its bias, its
+# weights of x, then its weights of layer l - 1. The first layer of any kind
+# has no layer before it; a standard layer after the first weighs no input;
+# a shallow net is one first layer. Units with the same bias (sign bit
+# included) and the same terms over the same values run the same float
+# operations on the same bits, so each distinct unit is computed once, and
+# units that no output term reads are left out. In a standard net, a unit
 # with bias +0.0 and one weight-1.0 term on a computed unit is that unit's
 # value: 0.0 + y and max(y, 0) are y for a ReLU output y >= +0.0. A unit that
 # reads an input, which may be -0.0, is always computed. So input carries and
@@ -425,12 +431,14 @@ def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> 
 
 def _blocks(net: StandardNet):
     """(layer numbers, stacked weights, stacked biases) per block of a
-    standard net: a run of layers of equal shapes, cut every 2**14 floats so
-    that the stacked copies, and the temporaries made from them, stay small."""
+    standard net: layer 1 alone, as it weighs x where the others weigh the
+    layer before, then runs of layers of equal shapes, cut every 2**14 floats
+    so that the stacked copies, and the temporaries made from them, stay
+    small."""
 
     def block(lwb):
         layer, (W, b) = lwb
-        return W.shape, b.shape, layer * (W.size + b.size) >> 14
+        return layer == 1, W.shape, b.shape, layer * (W.size + b.size) >> 14
 
     for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
         layers, wbs = zip(*run)
@@ -438,23 +446,29 @@ def _blocks(net: StandardNet):
         yield layers, W, b
 
 
+def _numbered(d: int, blocks, alias: bool = False) -> tuple:
+    """The distinct units of a layered net, as ``_number`` lists them, and the
+    value ids of x, then of each layer's units. A block is a (layers, width,
+    1 + d + w) array of rows: a unit's bias, its weights of x, then its
+    weights of the w units of the layer before. The first layer has none
+    before it, so it weighs only x. ``alias`` goes to ``_kinds``."""
+    units, ids, layers = [], {}, [list(range(d))]
+    for rows in blocks:
+        kind, kinds = _kinds(rows.reshape(-1, rows.shape[2]), alias)
+        for layer in kind.reshape(rows.shape[:2]).tolist():
+            layers.append(_number(layer, kinds, layers[0] + layers[-1], ids, units, d))
+    return units, layers
+
+
 def _compile_skip(net: SkipNet) -> _Program:
     d, w, depth = net.input_dim, net.width, net.depth
-    nz = np.flatnonzero(net.out_a)
-    outs = list(zip(nz.tolist(), net.out_a[nz].tolist()))  # (value id, weight); x_i is id i
-    units, ids = [], {}
-    if depth:
-        wx = np.concatenate([net.first_w[None], net.hidden_wx])
-        wy = np.concatenate([np.zeros((1, w, w)), net.hidden_wy])
-        b = np.concatenate([net.first_b[None], net.hidden_b])
-        # column k + 1 weighs slot k: x, then layer l - 1
-        kind, kinds = _kinds(np.concatenate([b[..., None], wx, wy], axis=2).reshape(depth * w, -1))
-        vals, layer_vals = list(range(d + w)), []  # value id per slot, per unit
-        for layer in kind.reshape(depth, w).tolist():
-            vals[d:] = _number(layer, kinds, vals, ids, units, d)
-            layer_vals += vals[d:]
-        l, m = np.nonzero(net.out_beta)
-        outs += zip([layer_vals[i] for i in (l * w + m).tolist()], net.out_beta[l, m].tolist())
+    first = np.concatenate([net.first_b[:, None], net.first_w, np.zeros((w, w))], axis=1)
+    hidden = np.concatenate([net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2)
+    units, layers = _numbered(d, [first[None], hidden])
+    ids = [v for layer in layers for v in layer]  # x_i is id i, then the hidden units
+    weights = np.concatenate([net.out_a, net.out_beta.ravel()])
+    nz = np.flatnonzero(weights)
+    outs = list(zip([ids[i] for i in nz.tolist()], weights[nz].tolist()))
     # a pass holds no more floats than the inputs, two layers of width w and
     # the product row did unnumbered
     return _schedule(d, units, outs, net.out_a0, d + min(depth, 2) * w + 1)
@@ -462,23 +476,22 @@ def _compile_skip(net: SkipNet) -> _Program:
 
 def _compile_standard(net: StandardNet) -> _Program:
     d = net.input_dim
-    units, ids, vals = [], {}, list(range(d))  # value id per slot: x, then layer l - 1
-    for _, W, b in _blocks(net):
-        rows = np.concatenate([b[..., None], W], axis=2).reshape(b.size, 1 + W.shape[2])
-        kind, kinds = _kinds(rows, alias=True)
-        for layer in kind.reshape(b.shape).tolist():
-            vals = _number(layer, kinds, vals, ids, units, d)
+    # a layer after the first is a skip layer that reads no input
+    blocks = (
+        np.concatenate([b[..., None], np.zeros((*b.shape, d * (layers[0] > 1))), W], axis=2)
+        for layers, W, b in _blocks(net)
+    )
+    units, layers = _numbered(d, blocks, alias=True)
     nz = np.flatnonzero(net.out_w)
-    outs = list(zip([vals[i] for i in nz.tolist()], net.out_w[nz].tolist()))
+    outs = list(zip([layers[-1][i] for i in nz.tolist()], net.out_w[nz].tolist()))
     widest = max(net.widths, default=0)
     return _schedule(d, units, outs, net.out_b, d + min(net.depth, 2) * widest + 1)
 
 
 def _compile_shallow(net: ShallowNet) -> _Program:
     d = net.input_dim
-    nz = [np.flatnonzero(a) for a in net.a]  # input k is id k
-    units = [(b, k.tolist(), a[k].tolist()) for a, b, k in zip(net.a, net.b.tolist(), nz)]
-    outs = list(zip(range(d, d + net.units), net.c.tolist()))  # zero weights too
+    units, (_, vals) = _numbered(d, [np.concatenate([net.b[:, None], net.a], axis=1)[None]])
+    outs = list(zip(vals, net.c.tolist()))  # zero weights too
     prog = _schedule(d, units, outs, net.c0, d + 2)
     return prog._replace(ceiling=1.0) if net.activation == SIGMOIDAL_ACTIVATION else prog
 
@@ -579,10 +592,7 @@ def _validate_skip(net: SkipNet) -> list:
     d, width, depth = net.input_dim, net.width, net.depth
     if d < 1:
         p.append("input_dim must be positive")
-    if depth == 0:
-        if net.out_beta.size != 0:
-            p.append("depth-0 net carries hidden output coefficients")
-    else:
+    if depth:
         if net.first_w.shape != (width, d):
             p.append(f"first layer weight shape {net.first_w.shape} != ({width}, {d})")
         if net.first_b.shape != (width,):
@@ -600,8 +610,6 @@ def _validate_skip(net: SkipNet) -> list:
             p += [f"non-finite {name} in layer {i + 2}" for i in np.flatnonzero(~finite)]
     if net.out_a.shape != (d,):
         p.append(f"output input-coefficient shape {net.out_a.shape} != ({d},)")
-    if net.out_beta.shape != (depth, width):
-        p.append(f"output hidden-coefficient shape {net.out_beta.shape} != ({depth}, {width})")
     _finite("output", net.out_a, p)
     _finite("output", net.out_beta, p)
     if not np.isfinite(net.out_a0):
@@ -648,8 +656,6 @@ def _validate_shallow(net: ShallowNet) -> list:
     p = []
     if net.units < 1:
         p.append("shallow net requires at least one unit")
-    if net.a.shape != (net.units, net.input_dim):
-        p.append(f"direction shape {net.a.shape} != ({net.units}, {net.input_dim})")
     if net.b.shape != (net.units,) or net.c.shape != (net.units,):
         p.append("offset/coefficient vectors must have one entry per unit")
     _finite("directions", net.a, p)

@@ -30,6 +30,7 @@ from relu_forge import (
     eval_skip_batch,
     eval_standard_batch,
     evaluate_batch,
+    interval_bounds,
     pad_width,
     preset_series,
     serialize_net,
@@ -39,6 +40,8 @@ from relu_forge import (
     validate,
     wide_to_deep,
 )
+
+from relu_forge import builders
 
 from conftest import make_random_shallow, make_random_skip
 
@@ -224,6 +227,34 @@ class TestCompose:
         padded = pad_width(f1, 4)
         c = compose(pad_width(f2, 3), padded)
         assert c.width == 4 and c.depth == f1.depth + f2.depth
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_monomial([1, 1, 1, 1], 4, 1),
+        lambda: build_analytic(preset_series("runge")[0], 1e-6, 0.25),
+        lambda: build_monomial([1, 1, 1, 1], 4, 1, clamp=True),
+    ],
+    ids=["monomial", "runge 1e-6", "clamped monomial"],
+)
+def test_inner_terms_before_the_first_output_layer_are_positive_zero(monkeypatch, build):
+    # compose starts the inner net's shifted output partial at its first layer
+    # with output coefficients; the layers before it must add exactly +0.0
+    firsts, real = [], builders.compose
+
+    def spy(f2, f1):
+        if f1.depth and f2.depth:
+            support = np.flatnonzero((f1.out_beta != 0.0).any(axis=1))
+            first = int(support[0]) if support.size else f1.depth - 1
+            terms = interval_bounds(f1, f1.domain).term_lo[:first]
+            assert [math.copysign(1.0, t) if t == 0.0 else t for t in terms] == [1.0] * first
+            firsts.append(first)
+        return real(f2, f1)
+
+    monkeypatch.setattr(builders, "compose", spy)
+    build()
+    assert max(firsts) > 0
 
 
 class TestPadWidth:

@@ -5,6 +5,8 @@ import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from relu_forge import (
     serialize_net,
     sigmoidal_to_relu,
 )
+from relu_forge import cli
 from relu_forge.cli import main
 
 from conftest import make_random_shallow
@@ -262,6 +265,24 @@ class TestSweep:
         assert run(["sweep", "square", "--depths", "2:4"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_depth_list(self, capsys):
+        assert run(["sweep", "square", "--depths", "2,4,6"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4", "6"]
+
+    def test_row_above_its_bound_fails_the_sweep(self, monkeypatch, capsys):
+        target = cli._target
+
+        def off_by_one(name, *args, **kwargs):
+            build, reference, dim = target(name, *args, **kwargs)
+            return build, (lambda X: reference(X) + 1.0), dim
+
+        monkeypatch.setattr(cli, "_target", off_by_one)
+        assert run(["sweep", "square", "--depths", "2:3"]) == 1
+        out, err = capsys.readouterr()
+        assert all(float(row.split(",")[-1]) > 1.0 for row in out.strip().split("\n")[1:])
+        assert err == "bound violated in sweep\n"
+
     def test_monomial_without_factors_is_usage_error(self, capsys):
         assert run(["sweep", "monomial:", "--depths", "2:3"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -331,6 +352,20 @@ class TestOutputFiles:
             data = fh.read()
         assert code == 0
         assert data == serialize_net(*build_square(2)).encode("utf-8")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+    def test_stdout_appending_to_a_log_keeps_the_log(self, tmp_path):
+        # `-o /dev/stdout >> log` opens the log anew, at offset 0
+        log = tmp_path / "log"
+        head = "".join(f"{i}\n" for i in range(1, 20001))
+        log.write_text(head)
+        src = str(pathlib.Path(nets.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "relu_forge", "build", "square", "--depth", "2", "-o", "/dev/stdout"]
+        with open(log, "a") as fh:
+            subprocess.run(argv, stdout=fh, env=env, check=True, timeout=120)
+        wrote = "wrote /dev/stdout (depth=2, width=2, bound=0.0625)\n"
+        assert log.read_text() == head + serialize_net(*build_square(2)) + wrote
 
     def test_directory_is_usage_error(self, tmp_path, capsys):
         assert run(["build", "square", "--depth", 2, "-o", tmp_path]) == 2
@@ -405,3 +440,48 @@ class TestErrorPaths:
         capsys.readouterr()
         assert run(["verify", "-i", out, "--target", "square", "--strategy", "random:10:-1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def documents(tmp_path, rng):
+    """Paths of a skip document, a shallow document and an output not yet written."""
+    skip, shallow = tmp_path / "skip.json", tmp_path / "shallow.json"
+    skip.write_text(serialize_net(*build_square(2)))
+    shallow.write_text(serialize_net(make_random_shallow(1, 4, rng)))
+    return {"skip": skip, "shallow": shallow, "out": tmp_path / "out.json"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "square", "--depths", "2:x"], "bad depth range '2:x'"),
+        (["sweep", "square", "--depths", "5:3"], "empty depth range '5:3'"),
+        (["eval", "-i", "{skip}", "--point", "0.5,x"], "expected comma-separated numbers, got '0.5,x'"),
+        (["build", "monomial", "--depth", 2, "-o", "{out}"], "build monomial requires --indices i1,i2,.."),
+        (["build", "poly", "--depth", 2, "-o", "{out}"],
+         "build poly requires --coeffs 'k1,..,kd:c;..'"),
+        (["build", "analytic", "--delta", 0.25, "-o", "{out}"],
+         "build analytic requires --eps and --delta"),
+        (["convert", "skip2std", "-i", "{shallow}", "-o", "{out}"],
+         "skip2std expects a skip-kind document"),
+        (["convert", "wide2deep", "--partition", "2,2", "-i", "{skip}", "-o", "{out}"],
+         "wide2deep expects a shallow-kind document"),
+        (["convert", "sig2relu", "-i", "{skip}", "-o", "{out}"],
+         "sig2relu expects a shallow-kind document"),
+        (["convert", "wide2deep", "-i", "{shallow}", "-o", "{out}"],
+         "wide2deep requires --partition m1,m2,.."),
+        (["build", "poly", "--coeffs", "1,0", "--depth", 2, "-o", "{out}"],
+         "polynomial term '1,0' lacks ':coefficient'"),
+        (["build", "poly", "--coeffs", "1:1;1,1:1", "--depth", 2, "-o", "{out}"],
+         "polynomial terms disagree on dimension"),
+        (["build", "poly", "--coeffs", "1:x", "--depth", 2, "-o", "{out}"], "bad coefficient 'x'"),
+        (["build", "poly", "--coeffs", ";", "--depth", 2, "-o", "{out}"],
+         "empty polynomial specification"),
+        (["build", "poly", "--coeffs", "a:1", "--depth", 2, "-o", "{out}"],
+         "expected comma-separated integers, got 'a'"),
+    ],
+)
+def test_usage_error_names_its_cause(documents, capsys, argv, message):
+    assert run([str(a).format(**documents) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not documents["out"].exists()

@@ -137,6 +137,21 @@ def square_interpolant(x: float, L: int) -> float:
     return a * a + (t - a) * (a + b)
 
 
+class TestBox:
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (np.zeros((1, 2)), np.ones((1, 2)), "box endpoints must be 1-d arrays of equal length"),
+            (np.zeros(2), np.ones(3), "box endpoints must be 1-d arrays of equal length"),
+            (np.array([0.0, -np.inf]), np.ones(2), "box endpoints must be finite"),
+            (np.array([0.0, 1.0]), np.ones(2), "box requires lo < hi on every axis"),
+        ],
+    )
+    def test_bad_endpoints_rejected(self, lo, hi, message):
+        with pytest.raises(StructuralError, match=message):
+            Box(lo, hi)
+
+
 class TestEvalSkip:
     def test_square_at_zero(self):
         net, _ = build_square(2)
@@ -168,6 +183,11 @@ class TestEvalSkip:
         net, _ = build_square(2)
         with pytest.raises(InputError):
             eval_skip(net, np.array([np.nan]))
+
+    def test_two_dimensional_point_rejected(self):
+        net, _ = build_square(2)
+        with pytest.raises(InputError, match=r"expected a single point, got shape \(1, 1\)"):
+            evaluate(net, np.array([[0.5]]))
 
     def test_determinism_bit_identical(self, rng):
         net = make_random_skip(2, 3, 4, rng)
@@ -319,6 +339,100 @@ class TestValidate:
             "non-finite weight in layer 7 bias",
             "non-finite weight in output",
         ]
+
+
+def valid_skip(**fields) -> SkipNet:
+    """A valid depth-2, width-2 skip net on [-1, 1] with ``fields`` replaced."""
+    net = dict(input_dim=1, first_w=np.ones((2, 1)), first_b=np.zeros(2),
+               hidden_wx=np.zeros((1, 2, 1)), hidden_wy=np.ones((1, 2, 2)),
+               hidden_b=np.zeros((1, 2)), out_a0=0.0, out_a=np.zeros(1),
+               out_beta=np.ones((2, 2)), domain=Box.symmetric(1))
+    return SkipNet(**{**net, **fields})
+
+
+def valid_standard(**fields) -> StandardNet:
+    """A valid standard net of widths 2, 1 on [-1, 1] with ``fields`` replaced."""
+    net = dict(input_dim=1, layer_w=(np.ones((2, 1)), np.ones((1, 2))),
+               layer_b=(np.zeros(2), np.zeros(1)), out_w=np.ones(1), out_b=0.0,
+               domain=Box.symmetric(1))
+    return StandardNet(**{**net, **fields})
+
+
+def valid_shallow(**fields) -> ShallowNet:
+    """A valid two-unit shallow net on [-1, 1] with ``fields`` replaced."""
+    net = dict(input_dim=1, a=np.ones((2, 1)), b=np.zeros(2), c=np.ones(2), c0=0.0,
+               activation=nets.RELU_ACTIVATION, domain=Box.symmetric(1))
+    return ShallowNet(**{**net, **fields})
+
+
+NAN = np.nan
+POINT = Box(np.zeros(0), np.zeros(0))  # the domain of a net with no inputs
+
+
+class TestValidateProblems:
+    def test_the_helpers_make_valid_nets(self):
+        assert validate(valid_skip()) == validate(valid_standard()) == validate(valid_shallow()) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # a depth-0 net with a hidden output coefficient
+            lambda: SkipNet(1, np.zeros((0, 1)), np.zeros(0), (), (), (), 0.0, np.zeros(1),
+                            np.ones(1), Box.symmetric(1)),
+            lambda: valid_skip(out_beta=np.ones(3)),  # depth 2, width 2 takes 4
+            lambda: valid_shallow(input_dim=2, a=np.ones(3), domain=Box.symmetric(2)),
+        ],
+        ids=["skip depth 0", "skip out_beta", "shallow a"],
+    )
+    def test_constructors_reject_what_they_cannot_reshape(self, make):
+        # so validate need not check the shapes of out_beta and ShallowNet.a
+        with pytest.raises(ValueError, match="reshape"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda: valid_skip(input_dim=0, first_w=np.ones((2, 0)), hidden_wx=np.zeros((1, 2, 0)),
+                                out_a=np.zeros(0), domain=POINT),
+             "input_dim must be positive"),
+            (lambda: valid_skip(first_w=np.ones((2, 2))), "first layer weight shape (2, 2) != (2, 1)"),
+            (lambda: valid_skip(first_b=np.zeros(3)), "first layer bias shape (3,) != (2,)"),
+            (lambda: valid_skip(first_b=[0.0, NAN]), "non-finite weight in first layer bias"),
+            (lambda: valid_skip(hidden_wy=np.ones((1, 2, 3))),
+             "hidden recurrent-weight shape (1, 2, 3) != (1, 2, 2)"),
+            (lambda: valid_skip(hidden_b=np.zeros((1, 3))), "hidden bias shape (1, 3) != (1, 2)"),
+            (lambda: valid_skip(hidden_wx=[[[0.0], [NAN]]]), "non-finite input-weight in layer 2"),
+            (lambda: valid_skip(hidden_b=[[NAN, 0.0]]), "non-finite bias in layer 2"),
+            (lambda: valid_skip(out_a=np.zeros(2)), "output input-coefficient shape (2,) != (1,)"),
+            (lambda: valid_skip(out_a=[NAN]), "non-finite weight in output"),
+            (lambda: valid_skip(out_beta=[[1.0, 1.0], [NAN, 1.0]]), "non-finite weight in output"),
+            (lambda: valid_skip(out_a0=NAN), "non-finite output bias"),
+            (lambda: valid_skip(domain=Box.symmetric(2)), "domain dimension 2 != input_dim 1"),
+            (lambda: valid_standard(input_dim=0, layer_w=(np.ones((2, 0)), np.ones((1, 2))),
+                                    domain=POINT),
+             "input_dim must be positive"),
+            (lambda: valid_standard(layer_w=(), layer_b=()),
+             "standard net requires at least one hidden layer"),
+            (lambda: valid_standard(out_w=np.ones(2)), "output weight shape (2,) != (1,)"),
+            (lambda: valid_standard(out_b=NAN), "non-finite output bias"),
+            (lambda: valid_standard(domain=Box.symmetric(2)), "domain dimension 2 != input_dim 1"),
+            (lambda: valid_shallow(a=np.zeros((0, 1)), b=np.zeros(0), c=np.zeros(0)),
+             "shallow net requires at least one unit"),
+            (lambda: valid_shallow(b=np.zeros(3)),
+             "offset/coefficient vectors must have one entry per unit"),
+            (lambda: valid_shallow(c=np.zeros(1)),
+             "offset/coefficient vectors must have one entry per unit"),
+            (lambda: valid_shallow(a=[[NAN], [1.0]]), "non-finite weight in directions"),
+            (lambda: valid_shallow(b=[0.0, NAN]), "non-finite weight in offsets"),
+            (lambda: valid_shallow(c=[NAN, 1.0]), "non-finite weight in coefficients"),
+            (lambda: valid_shallow(c0=NAN), "non-finite output bias"),
+            (lambda: valid_shallow(activation="tanh"), "unknown activation tag 'tanh'"),
+            (lambda: valid_shallow(domain=Box.symmetric(2)), "domain dimension 2 != input_dim 1"),
+            (lambda: object(), "unsupported network type object"),
+        ],
+    )
+    def test_each_problem_is_reported_alone(self, make, problem):
+        assert validate(make()) == [problem]
 
 
 class TestIntervalBounds:
@@ -576,6 +690,16 @@ class TestKernelMatchesReference:
         c[[1, 4, 6]] = 0.0
         net = ShallowNet(2, a, s.b, c, -0.0, activation, s.domain)
         self.assert_same_bytes(net, np.vstack([[[-0.0, 0.0]], net.domain.sample(50, rng)]))
+
+    @pytest.mark.parametrize("activation", [nets.RELU_ACTIVATION, nets.SIGMOIDAL_ACTIVATION])
+    def test_shallow_units_that_repeat_are_computed_once(self, rng, activation):
+        s = make_random_shallow(2, 4, rng, activation)
+        pick = [0, 1, 0, 2, 3, 3]  # unit 0 twice, and two bias-only units alike
+        a, b = s.a[pick], s.b[pick]
+        a[4:] = 0.0
+        net = ShallowNet(2, a, b, rng.normal(size=6), s.c0, activation, s.domain)
+        assert program_units(net) == 4
+        self.assert_same_bytes(net, net.domain.sample(50, rng))
 
     def test_nets_whose_units_repeat(self, rng):
         even_head = PolySpec(1, {(2,): 0.5, (4,): -0.25, (6,): 0.125, (8,): -1.0})

@@ -1,6 +1,7 @@
 """Document round trips and rejection paths."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from relu_forge import (
     skip_to_standard,
     validate,
 )
-from relu_forge.serialize import to_document
+from relu_forge.serialize import from_document, to_document
 
 from conftest import make_random_shallow, make_random_skip, net_bits
 
@@ -149,3 +150,27 @@ class TestRejection:
         )
         with pytest.raises(DocumentInvariantError):
             serialize_net(bad)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(depth=4), "declared depth 4 inconsistent with 3 stored layers"),
+            (lambda doc: doc.update(width=3), "first layer stores 2 units, declared width 3"),
+            (lambda doc: doc.update(kind="recurrent"), "unknown document kind 'recurrent'"),
+            (lambda doc: doc["certificate"].pop("bound"), "malformed certificate: 'bound'"),
+        ],
+        ids=["depth", "width", "kind", "certificate"],
+    )
+    def test_inconsistent_document_rejected(self, edit, message):
+        doc = to_document(*build_square(3))
+        edit(doc)
+        with pytest.raises(DocumentInvariantError, match=re.escape(message)):
+            from_document(doc)
+
+    def test_root_must_be_an_object(self):
+        with pytest.raises(DocumentParseError, match="document root must be a JSON object"):
+            deserialize_net("[1, 2]")
+
+    def test_unsupported_type_has_no_document(self):
+        with pytest.raises(DocumentInvariantError, match="cannot serialize type object"):
+            to_document(object())
