@@ -13,9 +13,11 @@ end), `skip_to_standard` of every net of depth >= 1, and `wide_to_deep` of
 seeded shallow nets on random partitions. Each line is a label and the
 sha256 over the net's document (`to_document`, shifts included, keys
 sorted) and the bytes of `evaluate_batch` on 257 seeded points of its
-domain; the last line is the sha256 over all lines. Run it against two
-source trees and compare the output. A full run takes about ten seconds
-on a 2-core machine.
+domain. The line after them is the sha256 over all of them, and the last
+line, ``documents <sha256>``, hashes the ``serialize_net`` text of every
+net in order, so the writer's bytes can be compared too. Run it against
+two source trees and compare the output. A full run takes about ten
+seconds on a 2-core machine.
 """
 
 import hashlib
@@ -45,7 +47,7 @@ from relu_forge import (
     substitute_inputs,
     wide_to_deep,
 )
-from relu_forge.serialize import to_document
+from relu_forge.serialize import serialize_net, to_document
 
 POINTS = 257
 MONOMIALS = ([1, 2], [1, 1, 2], [1, 2, 3], [1, 1, 1, 1], [1, 2, 1, 2, 1], [2, 1, 1, 2, 2, 1], [1] * 7)
@@ -186,14 +188,16 @@ def digest(net) -> str:
 
 
 def main() -> int:
-    total = hashlib.sha256()
+    total, documents = hashlib.sha256(), hashlib.sha256()
     count = 0
     for label, net in corpus():
         line = f"{label}: {digest(net)}"
         print(line)
         total.update(line.encode() + b"\n")
+        documents.update(serialize_net(net).encode())
         count += 1
     print(f"total over {count} nets: {total.hexdigest()}")
+    print(f"documents {documents.hexdigest()}")
     return 0
 
 

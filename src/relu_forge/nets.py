@@ -429,16 +429,18 @@ def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> 
     return _Program(d, top, out_bias, None, tuple(program), budget)
 
 
+_BLOCK = 1 << 14  # floats per block of layers, so that copies and temporaries stay small
+
+
 def _blocks(net: StandardNet):
     """(layer numbers, stacked weights, stacked biases) per block of a
     standard net: layer 1 alone, as it weighs x where the others weigh the
-    layer before, then runs of layers of equal shapes, cut every 2**14 floats
-    so that the stacked copies, and the temporaries made from them, stay
-    small."""
+    layer before, then runs of layers of equal shapes, cut every _BLOCK
+    floats."""
 
     def block(lwb):
         layer, (W, b) = lwb
-        return layer == 1, W.shape, b.shape, layer * (W.size + b.size) >> 14
+        return layer == 1, W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
 
     for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
         layers, wbs = zip(*run)
@@ -545,12 +547,17 @@ _compiling = threading.Lock()
 def _program(net) -> _Program:
     """The net's program, compiled on first use and kept in the instance
     ``__dict__``, as ``functools.cached_property`` does on a frozen
-    dataclass; it is derived from the fields and changes no value of the net."""
+    dataclass; it is derived from the fields and changes no value of the net.
+    A net that fails ``validate`` raises ``StructuralError`` with its problems
+    and is not compiled."""
     if not isinstance(net, (SkipNet, StandardNet, ShallowNet)):
         raise StructuralError(f"cannot evaluate object of type {type(net).__name__}")
     with _compiling:  # threads that evaluate one net wait for its one compile
         prog = vars(net).get("_program")
         if prog is None:
+            problems = validate(net)
+            if problems:
+                raise StructuralError("cannot evaluate an invalid net: " + "; ".join(problems))
             compile_kind = (
                 _compile_skip if isinstance(net, SkipNet)
                 else _compile_standard if isinstance(net, StandardNet)
@@ -722,14 +729,19 @@ def interval_bounds(net, box: Box) -> IntervalReport:
     pre_lo, pre_hi, post_lo, post_hi, term_lo, term_hi = [], [], [], [], [], []
     if isinstance(net, SkipNet):
         if net.depth > 0:
-            # the input part of every hidden layer and the sign split of every
-            # hidden_wy at once; bias 0.0 and adding the y part keep the bits
+            # the input part of every hidden layer at once, and the sign split
+            # of hidden_wy in blocks of layers of at most _BLOCK floats; bias
+            # 0.0 and adding the y part keep the bits
             xlo, xhi = _affine_range(net.hidden_wx, 0.0, box.lo, box.hi)
-            pos, neg = np.clip(net.hidden_wy, 0.0, None), np.clip(net.hidden_wy, None, 0.0)
+            step = max(1, _BLOCK // net.width**2)
             lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
             for l in range(net.depth):
                 if l:
-                    p, n, b = pos[l - 1], neg[l - 1], net.hidden_b[l - 1]
+                    i = (l - 1) % step
+                    if i == 0:
+                        wy = net.hidden_wy[l - 1 : l - 1 + step]
+                        pos, neg = np.clip(wy, 0.0, None), np.clip(wy, None, 0.0)
+                    p, n, b = pos[i], neg[i], net.hidden_b[l - 1]
                     lo = xlo[l - 1] + (b + p @ post_lo[-1] + n @ post_hi[-1])
                     hi = xhi[l - 1] + (b + p @ post_hi[-1] + n @ post_lo[-1])
                 pre_lo.append(lo)

@@ -7,6 +7,10 @@ with full round-trip precision, so
 ``deserialize(serialize(net))`` reproduces every weight bit for bit. A
 deserialized net is validated before it is returned; documents describing
 an invalid net are rejected with the validator's diagnostics.
+
+``serialize_net`` formats the stacked arrays straight to text, block by
+block, and writes the same bytes as ``json.dumps(to_document(net))``, which
+stays as the reference.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .nets import (
     ShallowNet,
     SkipNet,
     StandardNet,
+    _BLOCK,
+    _blocks,
     validate,
 )
 
@@ -76,16 +82,95 @@ def to_document(net, certificate: BoundCertificate | None = None) -> dict:
         doc["activation"] = net.activation
     else:
         raise DocumentInvariantError(f"cannot serialize type {type(net).__name__}")
+    doc.update(_extras(net, certificate))
+    return doc
+
+
+def _extras(net, certificate: BoundCertificate | None) -> dict:
+    """The optional last fields of a document: shifts, then the certificate."""
+    extras = {}
     if getattr(net, "shifts", ()):
-        doc["shifts"] = [float(s) for s in net.shifts]
+        extras["shifts"] = [float(s) for s in net.shifts]
     if certificate is not None:
-        doc["certificate"] = {
+        extras["certificate"] = {
             "lemma": certificate.lemma,
             "params": dict(certificate.params),
             "bound": certificate.bound,
             "box": certificate.box.as_pairs(),
         }
-    return doc
+    return extras
+
+
+# The writer formats the stacked arrays with %r, which is repr(float): the
+# float format of json.dumps for finite values. validate proves them finite;
+# every other field goes through json.dumps, which writes Infinity, not inf.
+# A block of items is formatted at once, in the cut of nets._blocks.
+
+
+def _list(item: str, count: int) -> str:
+    """Template of a JSON list of ``count`` items."""
+    return "[" + ", ".join([item] * count) + "]"
+
+
+def _blocked(item: str, *columns):
+    """(item, block) per block of at most _BLOCK floats, one item at least:
+    the columns joined along their last axis. The columns share their other
+    axes, and the first counts the items."""
+    step = max(1, _BLOCK // max(1, sum(c[:1].size for c in columns)))
+    for start in range(0, len(columns[0]), step):
+        yield item, np.concatenate([c[start : start + step] for c in columns], axis=-1)
+
+
+def _fields(net, certificate: BoundCertificate | None) -> tuple:
+    """The head and the tail of a valid net's document, as dicts for
+    json.dumps, and between them its stacked arrays: per key, the
+    (item template, block) pairs of the list it holds."""
+    if isinstance(net, SkipNet):
+        d, w = net.input_dim, net.width
+        head = {"kind": "skip", "input_dim": d, "depth": net.depth, "width": w}
+        first = f'{{"w": {_list("%r", d)}, "b": %r}}'
+        unit = f'{{"wx": {_list("%r", d)}, "wy": {_list("%r", w)}, "b": %r}}'
+        stacks = {
+            "first_layer": _blocked(first, net.first_w, net.first_b[:, None]),
+            "hidden_layers": _blocked(
+                _list(unit, w), net.hidden_wx, net.hidden_wy, net.hidden_b[..., None]
+            ),
+        }
+        output = {"a0": net.out_a0, "a": net.out_a.tolist(), "beta": net.out_beta.tolist()}
+        tail = {"output": output}
+    elif isinstance(net, StandardNet):
+        head = {"kind": "standard", "input_dim": net.input_dim, "depth": net.depth}
+
+        def layers():
+            for _, W, b in _blocks(net):
+                _, r, c = W.shape
+                item = f'{{"W": {_list(_list("%r", c), r)}, "b": {_list("%r", r)}}}'
+                yield item, np.concatenate([W.reshape(len(W), r * c), b], axis=1)
+
+        stacks = {"layers": layers()}
+        tail = {"output": {"w": net.out_w.tolist(), "b": net.out_b}}
+    else:
+        head = {"kind": "shallow", "input_dim": net.input_dim}
+        unit = f'{{"a": {_list("%r", net.input_dim)}, "b": %r, "c": %r}}'
+        stacks = {"units": _blocked(unit, net.a, net.b[:, None], net.c[:, None])}
+        tail = {"c0": net.c0, "activation": net.activation}
+    head = {"version": FORMAT_VERSION, **head, "domain": net.domain.as_pairs()}
+    return head, stacks, {**tail, **_extras(net, certificate)}
+
+
+def _text(head: dict, stacks: dict, tail: dict) -> str:
+    """The document's one line: each block of a stack fills a template of
+    its items once, and the parts are joined once."""
+    parts, key, template = [json.dumps(head)[:-1]], None, None
+    for name, items in stacks.items():
+        parts.append(f', "{name}": [')
+        for i, (item, block) in enumerate(items):
+            if key != (item, len(block)):  # once per run of equal blocks
+                key, template = (item, len(block)), ", ".join([item] * len(block))
+            parts += (", " if i else "", template % tuple(block.ravel().tolist()))
+        parts.append("]")
+    parts.append(", " + json.dumps(tail)[1:] + "\n")
+    return "".join(parts)
 
 
 def _box_from(pairs) -> Box:
@@ -114,8 +199,8 @@ def _skip_from(doc: dict) -> SkipNet:
             )
     out = doc["output"]
 
-    def stacked(key, *shape):
-        units = [[u[key] for u in layer] for layer in hidden]
+    def stacked(key, *shape):  # one flat list over the units of every layer
+        units = [u[key] for layer in hidden for u in layer]
         return np.array(units, dtype=float).reshape(len(hidden), width, *shape)
 
     return SkipNet(
@@ -204,7 +289,7 @@ def serialize_net(net, certificate: BoundCertificate | None = None) -> str:
             "refusing to serialize an invalid net: " + "; ".join(problems),
             diagnostics=problems,
         )
-    return json.dumps(to_document(net, certificate)) + "\n"
+    return _text(*_fields(net, certificate))
 
 
 def deserialize_net(text: str):

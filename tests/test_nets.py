@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -433,6 +434,22 @@ class TestValidateProblems:
     )
     def test_each_problem_is_reported_alone(self, make, problem):
         assert validate(make()) == [problem]
+
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda: valid_standard(layer_w=(), layer_b=(), out_w=np.ones(1)),
+             "standard net requires at least one hidden layer"),
+            (lambda: valid_shallow(b=np.zeros(3)),
+             "offset/coefficient vectors must have one entry per unit"),
+        ],
+        ids=["standard depth 0", "shallow b"],
+    )
+    def test_evaluation_refuses_an_invalid_net_before_compiling(self, make, problem):
+        net = make()
+        with pytest.raises(StructuralError, match=re.escape(problem)):
+            evaluate_batch(net, np.zeros((3, 1)))
+        assert "_program" not in vars(net)
 
 
 class TestIntervalBounds:

@@ -1,10 +1,14 @@
 """Property-based invariants over randomized network structures."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from relu_forge import (
+    BoundCertificate,
     add,
     deserialize_net,
     equivalence_check,
@@ -19,7 +23,9 @@ from relu_forge import (
     wide_to_deep,
 )
 from relu_forge.nets import Box, ShallowNet, SkipNet
+from relu_forge.serialize import to_document
 
+from conftest import net_bits
 from test_nets import reference_forward
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -46,6 +52,29 @@ def skip_nets(draw, max_dim=3, max_depth=3, max_width=4):
         out_a=rng.uniform(-1, 1, d),
         out_beta=rng.uniform(-1, 1, (depth, width)),
         domain=Box.symmetric(d),
+    )
+
+
+@st.composite
+def skip_nets_of_any_finite_weights(draw):
+    """Skip nets of depth 0 to 5 whose weights and shifts are any finite floats."""
+    any_finite = st.floats(allow_nan=False, allow_infinity=False)
+    d, depth = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    w = draw(st.integers(1, 4)) if depth else 0
+    layers = max(depth - 1, 0)
+    weights = lambda *shape: draw(arrays(np.float64, shape, elements=any_finite))
+    return SkipNet(
+        input_dim=d,
+        first_w=weights(w, d),
+        first_b=weights(w),
+        hidden_wx=weights(layers, w, d),
+        hidden_wy=weights(layers, w, w),
+        hidden_b=weights(layers, w),
+        out_a0=draw(any_finite),
+        out_a=weights(d),
+        out_beta=weights(depth, w),
+        domain=Box.symmetric(d),
+        shifts=tuple(draw(st.lists(any_finite, max_size=3))),
     )
 
 
@@ -159,6 +188,16 @@ def test_serialization_round_trip_bitwise(net):
     back, _ = deserialize_net(serialize_net(net))
     X = net.domain.sample(100, np.random.default_rng(3))
     assert (eval_skip_batch(back, X) == eval_skip_batch(net, X)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(skip_nets_of_any_finite_weights(), st.booleans())
+def test_document_text_is_the_reference_json(net, certified):
+    cert = BoundCertificate("square", {"L": 2}, 0.0625, net.domain) if certified else None
+    text = serialize_net(net, cert)
+    assert text == json.dumps(to_document(net, cert)) + "\n"
+    back, cert2 = deserialize_net(text)
+    assert net_bits(back) == net_bits(net) and net_bits(cert2) == net_bits(cert)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,6 @@
 """Document round trips and rejection paths."""
 
+import dataclasses
 import json
 import re
 
@@ -7,9 +8,13 @@ import numpy as np
 import pytest
 
 from relu_forge import (
+    BoundCertificate,
+    Box,
     DocumentInvariantError,
     DocumentParseError,
     DocumentVersionError,
+    StandardNet,
+    affine_net,
     build_monomial,
     build_multiply,
     build_square,
@@ -22,6 +27,78 @@ from relu_forge import (
 from relu_forge.serialize import from_document, to_document
 
 from conftest import make_random_shallow, make_random_skip, net_bits
+
+# Floats whose text a writer may get wrong: the sign of zero, the least
+# subnormal, the least normal, an integer past 2**53 and two inexact fractions.
+AWKWARD = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1, 1 / 3])
+
+
+def awkward(net):
+    """The net with every stored weight array tiled with AWKWARD, signs alternating."""
+    def tiled(a):
+        signs = np.resize([1.0, -1.0], a.size)
+        return (np.resize(AWKWARD, a.size) * signs).reshape(a.shape)
+
+    changes = {}
+    for f in dataclasses.fields(net):
+        value = getattr(net, f.name)
+        if isinstance(value, np.ndarray):
+            changes[f.name] = tiled(value)
+        elif f.name in ("layer_w", "layer_b"):
+            changes[f.name] = tuple(tiled(a) for a in value)
+    return dataclasses.replace(net, **changes)
+
+
+def standard_of_widths(widths, rng, d=2) -> StandardNet:
+    """Random standard net whose layer shapes follow ``widths``."""
+    dims = [d, *widths]
+    return StandardNet(
+        input_dim=d,
+        layer_w=tuple(rng.uniform(-1, 1, (m, n)) for n, m in zip(dims, dims[1:])),
+        layer_b=tuple(rng.uniform(-1, 1, m) for m in widths),
+        out_w=rng.uniform(-1, 1, widths[-1]),
+        out_b=0.5,
+        domain=Box.symmetric(d),
+    )
+
+
+def first_difference(text: str, reference: str):
+    """None if the texts are equal, else the first offset at which they
+    differ and both texts from there; unlike pytest's diff, quick on
+    megabytes."""
+    if text == reference:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b), len(text))
+    return at, text[at : at + 40], reference[at : at + 40]
+
+
+def document_cases():
+    """(label, net, certificate) for every kind and every shape of stack the
+    writer cuts into blocks: depth 0 and 1, more than one block, a layer of
+    more than one block's floats, shapes that change mid-stack."""
+    rng = np.random.default_rng(16)
+    monomial, cert = build_monomial([1, 1, 2], 2, 2)  # with shifts
+    deep = make_random_skip(1, 1100, 4, rng)  # 1099 layers of 24 floats, 2 blocks
+    wide = make_random_skip(1, 3, 130, rng)  # 17,160 floats per layer
+    steps = standard_of_widths([3, 3, *[5] * 700, 2, 2, 1], rng)  # 700 layers of 30 floats
+    shallow = make_random_shallow(2, 5, rng)
+    sigmoidal = make_random_shallow(3, 7, rng, activation="sigmoidal-step")
+    shallow_cert = BoundCertificate("shallow", {"units": 5, "eps": 0.1}, 1 / 3, shallow.domain)
+    yield "monomial", monomial, cert
+    yield "depth 0", *build_monomial([2], 3, 2)
+    yield "affine", affine_net(-0.0, [0.1, 1e16], Box.symmetric(2)), None
+    yield "depth 1", make_random_skip(2, 1, 3, rng), None
+    yield "depth 1 square", *build_square(1)
+    yield "deep", deep, None
+    yield "deep with shifts", dataclasses.replace(deep, shifts=(0.5, 1e16, 0.0)), cert
+    yield "wide", wide, None
+    yield "standard", skip_to_standard(monomial), cert
+    yield "standard shapes change", steps, None
+    yield "shallow", shallow, shallow_cert
+    yield "sigmoidal", sigmoidal, None
+    for label, net, c in [("skip", monomial, cert), ("deep", deep, None),
+                          ("standard", steps, None), ("shallow", sigmoidal, shallow_cert)]:
+        yield f"awkward {label}", awkward(net), c
 
 
 class TestRoundTrip:
@@ -87,6 +164,13 @@ class TestRoundTrip:
         text = serialize_net(net, cert)
         assert text == json.dumps(to_document(net, cert)) + "\n"
         assert text.count("\n") == 1
+        for label, net, cert in document_cases():
+            text = serialize_net(net, cert)
+            assert first_difference(text, json.dumps(to_document(net, cert)) + "\n") is None, label
+            assert text.count("\n") == 1, label
+            back, cert2 = deserialize_net(text)
+            same = net_bits((back, cert2)) == net_bits((net, cert))  # no pytest diff of megabytes
+            assert same, label
 
     def test_indented_document_still_loads(self):
         for net, cert in (
@@ -127,6 +211,14 @@ class TestRejection:
         doc["first_layer"][0]["w"][0] = 1e400  # becomes inf through float()
         with pytest.raises(DocumentInvariantError, match="non-finite"):
             deserialize_net(json.dumps(doc))
+
+    def test_unit_with_a_weight_moved_from_wy_to_wx_rejected(self):
+        # the document's float count is unchanged, so only the per-unit shapes catch it
+        doc = to_document(build_square(3)[0])
+        unit = doc["hidden_layers"][1][0]
+        unit["wx"].append(unit["wy"].pop())
+        with pytest.raises(DocumentInvariantError, match="malformed skip document"):
+            from_document(doc)
 
     def test_valid_document_validates_cleanly(self):
         net, _ = build_multiply(2)
