@@ -15,8 +15,11 @@ sha256 over the net's document (`to_document`, shifts included, keys
 sorted) and the bytes of `evaluate_batch` on 257 seeded points of its
 domain. The line after them is the sha256 over all of them, and the last
 line, ``documents <sha256>``, hashes the ``serialize_net`` text of every
-net in order, so the writer's bytes can be compared too. Run it against
-two source trees and compare the output. A full run takes about ten
+net in order, so the writer's bytes can be compared too. The last line,
+``certificates <sha256>``, hashes the ``serialize_net`` text of every
+builder net together with its certificate, so a change to a certificate's
+params or bound shows as well. Run it against two source trees and compare
+the output. A full run takes about ten
 seconds on a 2-core machine.
 """
 
@@ -91,34 +94,40 @@ def random_box(d, rng, zero_lo: bool) -> Box:
     return Box(lo, lo + rng.uniform(0.5, 2.0, d))
 
 
-def skip_nets():
-    """(label, net) for every skip net of the corpus."""
+def builder_nets():
+    """(label, (net, certificate)) for every builder net of the corpus."""
     for L in range(1, 9):
-        yield f"square L={L}", build_square(L)[0]
-        yield f"multiply L={L}", build_multiply(L)[0]
+        yield f"square L={L}", build_square(L)
+        yield f"multiply L={L}", build_multiply(L)
     for factors in MONOMIALS:
         for L in (1, 2, 4):
             for clamp in (False, True):
                 yield f"monomial {factors} L={L} clamp={clamp}", build_monomial(
                     factors, L, max(factors), clamp=clamp
-                )[0]
-    yield "monomial [2] L=1 dim=3", build_monomial([2], 1, 3)[0]
+                )
+    yield "monomial [2] L=1 dim=3", build_monomial([2], 1, 3)
     for i, spec in enumerate(POLYNOMIALS):
         for L in range(1, 7):
-            yield f"polynomial {i} L={L}", build_polynomial(spec, L)[0]
+            yield f"polynomial {i} L={L}", build_polynomial(spec, L)
     for L in range(1, 5):
-        yield f"even head L={L}", build_polynomial(EVEN_HEAD, L)[0]
+        yield f"even head L={L}", build_polynomial(EVEN_HEAD, L)
         for clamp in (False, True):
             yield f"branching 2-d L={L} clamp={clamp}", build_polynomial(
                 BRANCHING_2D, L, clamp=clamp
-            )[0]
+            )
     for name in ("exp", "sin", "runge"):
         for eps in (1e-3, 1e-6, 1e-8, 1e-10):
-            yield f"{name} eps={eps:g}", build_analytic(preset_series(name)[0], eps, 0.25).net
-    yield "exp eps=1e-06 clamp=True", build_analytic(preset_series("exp")[0], 1e-6, 0.25, clamp=True).net
+            yield f"{name} eps={eps:g}", build_analytic(preset_series(name)[0], eps, 0.25)[:2]
+    yield "exp eps=1e-06 clamp=True", build_analytic(preset_series("exp")[0], 1e-6, 0.25, clamp=True)[:2]
     head = PolySpec(2, {(0, 0): 0.5, (1, 1): 0.25, (2, 1): 0.125, (2, 0): -0.25})
     series = SeriesSpec(head, tail_l1_bound=lambda p, delta: 0.0 if p >= 3 else 1.0)
-    yield "finite series", build_analytic(series, 1e-2, 0.25).net
+    yield "finite series", build_analytic(series, 1e-2, 0.25)[:2]
+
+
+def skip_nets():
+    """(label, net) for every skip net of the corpus."""
+    for label, (net, _) in builder_nets():
+        yield label, net
 
     rng = np.random.default_rng(20240811)
     for i in range(40):
@@ -198,6 +207,10 @@ def main() -> int:
         count += 1
     print(f"total over {count} nets: {total.hexdigest()}")
     print(f"documents {documents.hexdigest()}")
+    certificates = hashlib.sha256()
+    for _, (net, cert) in builder_nets():
+        certificates.update(serialize_net(net, cert).encode())
+    print(f"certificates {certificates.hexdigest()}")
     return 0
 
 

@@ -9,6 +9,9 @@ the closed-form sup-norm guarantee its parameters entail:
 * polynomial: the monomial bound times the coefficient l1 mass
 * analytic (power series): ``2 * eps * l1`` on the delta-shrunk box
 
+The table ``_BOUNDS`` holds these closed forms, once: every builder makes its
+certificate from it, and ``theoretical_bound`` recomputes bounds from it.
+
 The squaring net is the piecewise-linear interpolant of x**2 on the dyadic
 grid of spacing ``2**(1-L)``, built from one absolute-value layer followed
 by tent-map compositions; its error is exactly ``4**-L``, attained at the
@@ -35,11 +38,13 @@ from .errors import (
     NoFreeChannelError,
     ParameterError,
     SeriesTruncationError,
+    StructuralError,
 )
 from .nets import Box, SkipNet, affine_net
 
 __all__ = [
     "BoundCertificate",
+    "theoretical_bound",
     "PolySpec",
     "SeriesSpec",
     "AnalyticBuild",
@@ -72,8 +77,9 @@ def monomial_count(p: int, d: int) -> int:
 class BoundCertificate:
     """Machine-checkable sup-norm guarantee attached to a constructed net.
 
-    ``bound`` always equals the closed form recomputable from ``params``
-    (see ``verify.theoretical_bound``); ``box`` is where the guarantee holds.
+    ``bound`` always equals the closed form of ``params`` that the table
+    ``_BOUNDS`` gives for ``lemma`` (see ``theoretical_bound``); ``box`` is
+    where the guarantee holds.
     """
 
     lemma: str
@@ -84,6 +90,53 @@ class BoundCertificate:
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         object.__setattr__(self, "bound", float(self.bound))
+
+
+def _chain_error(p, L):
+    """Error of a chain of p - 1 products, each of depth 3L: ``3 (p-1) 4**-L``."""
+    return 3.0 * (p - 1) * 2.0 ** (-2 * L)
+
+
+# The closed form of each lemma: the certificate parameters it reads, in
+# order, and the bound as a function of them.
+_BOUNDS = {
+    "square": (("L",), lambda L: 2.0 ** (-2 * L)),
+    "multiply": (("L",), lambda L: _chain_error(2, L)),
+    "monomial": (("p", "L"), _chain_error),
+    "polynomial": (
+        ("p", "L", "coeff_l1"),
+        lambda p, L, l1: _chain_error(p, L) * l1 if p >= 2 else 0.0,
+    ),
+    "analytic": (("eps", "coeff_l1"), lambda eps, l1: 2.0 * eps * l1),
+}
+
+
+def _bound(lemma: str, params) -> float:
+    if lemma not in _BOUNDS:
+        raise StructuralError(f"unknown certificate tag {lemma!r}")
+    names, form = _BOUNDS[lemma]
+    for name in names:
+        value = params.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            got = repr(value) if name in params else "nothing"
+            raise StructuralError(f"{lemma} certificate: {name!r} needs a number, got {got}")
+    return form(*(params[name] for name in names))
+
+
+def theoretical_bound(cert: BoundCertificate) -> float:
+    """Recompute the closed-form bound from the certificate's parameters.
+
+    Must equal ``cert.bound`` exactly for every certificate the builders
+    produce; any mismatch means a corrupted certificate. Raises
+    ``StructuralError`` for an unknown lemma, or for a parameter of its closed
+    form that is missing or not a number.
+    """
+    return _bound(cert.lemma, cert.params)
+
+
+def _certificate(lemma: str, box: Box, **params) -> BoundCertificate:
+    """Certificate of ``lemma`` on ``box``: params in keyword order, the table's bound."""
+    return BoundCertificate(lemma, params, _bound(lemma, params), box)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +265,17 @@ def build_square(L: int):
         out_beta=beta,
         domain=box,
     )
-    cert = BoundCertificate(
-        lemma="square", params={"L": L}, bound=2.0 ** (-2 * L), box=box
-    )
-    return net, cert
+    return net, _certificate("square", box, L=L)
 
 
 # ---------------------------------------------------------------------------
 # Products
+
+
+def _reading(net: SkipNet, columns, d: int) -> SkipNet:
+    """``net`` over [-1, 1]^d, its i-th input reading x[columns[i]] (0-based)."""
+    T = np.eye(d)[columns]
+    return substitute_inputs(net, T, np.zeros(len(columns)), Box.symmetric(d))
 
 
 def build_multiply(L: int):
@@ -234,13 +290,9 @@ def build_multiply(L: int):
     box = Box.symmetric(2)
     sq, _ = build_square(L)
     mean = substitute_inputs(sq, [[0.5, 0.5]], [0.0], box)
-    left = substitute_inputs(sq, [[1.0, 0.0]], [0.0], box)
-    right = substitute_inputs(sq, [[0.0, 1.0]], [0.0], box)
+    left, right = _reading(sq, [0], 2), _reading(sq, [1], 2)
     net = add(add(mean, left, 2.0, -0.5), right, 1.0, -0.5)
-    cert = BoundCertificate(
-        lemma="multiply", params={"L": L}, bound=3.0 * 2.0 ** (-2 * L), box=box
-    )
-    return net, cert
+    return net, _certificate("multiply", box, L=L)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +301,7 @@ def build_multiply(L: int):
 
 def _lifted_multiply(L: int, input_dim: int, factor: int) -> SkipNet:
     """Product net over (v, x) reading its second operand from x[factor-1]."""
-    mult, _ = build_multiply(L)
-    T = np.zeros((2, input_dim + 1))
-    T[0, 0] = 1.0
-    T[1, factor] = 1.0
-    return substitute_inputs(mult, T, [0.0, 0.0], Box.symmetric(input_dim + 1))
+    return _reading(build_multiply(L)[0], [0, factor], input_dim + 1)
 
 
 def _lifted_clamp(input_dim: int) -> SkipNet:
@@ -270,9 +318,7 @@ def _lifted_clamp(input_dim: int) -> SkipNet:
         out_beta=np.array([[1.0, -1.0]]),
         domain=Box.symmetric(1),
     )
-    T = np.zeros((1, input_dim + 1))
-    T[0, 0] = 1.0
-    return substitute_inputs(clamp, T, [0.0], Box.symmetric(input_dim + 1))
+    return _reading(clamp, [0], input_dim + 1)
 
 
 def _compose_grow(outer: SkipNet, inner: SkipNet) -> SkipNet:
@@ -303,11 +349,7 @@ def _monomial_chain(indices, L: int, d: int, clamp: bool, chains: dict) -> SkipN
     key = tuple(indices)
     start = next((n for n in range(len(key), 1, -1) if key[:n] in chains), None)
     if start is None:
-        mult, _ = build_multiply(L)
-        T = np.zeros((2, d))
-        T[0, key[0] - 1] += 1.0
-        T[1, key[1] - 1] += 1.0
-        net = substitute_inputs(mult, T, [0.0, 0.0], Box.symmetric(d))
+        net = _reading(build_multiply(L)[0], [key[0] - 1, key[1] - 1], d)
         start = 2
     else:
         net = chains[key[:start]]
@@ -345,12 +387,7 @@ def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):
         if not 1 <= i <= input_dim:
             raise ParameterError(f"factor index {i} outside 1..{input_dim}")
     box = Box.symmetric(input_dim)
-    cert = BoundCertificate(
-        lemma="monomial",
-        params={"p": p, "L": L, "d": input_dim},
-        bound=3.0 * (p - 1) * 2.0 ** (-2 * L),
-        box=box,
-    )
+    cert = _certificate("monomial", box, p=p, L=L, d=input_dim)
     if p == 1:
         a = np.zeros(input_dim)
         a[indices[0] - 1] = 1.0
@@ -399,14 +436,7 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
     width = max([3] + [m.width for m in mono_nets])
     for k, mono in zip(high, mono_nets):
         net = add(net, pad_width(mono, width), 1.0, spec.coeffs[k])
-    p = spec.degree
-    bound = 3.0 * (p - 1) * 2.0 ** (-2 * L) * spec.coeff_l1 if p >= 2 else 0.0
-    cert = BoundCertificate(
-        lemma="polynomial",
-        params={"p": p, "L": L, "d": d, "coeff_l1": spec.coeff_l1},
-        bound=bound,
-        box=box,
-    )
+    cert = _certificate("polynomial", box, p=spec.degree, L=L, d=d, coeff_l1=spec.coeff_l1)
     return net, cert
 
 
@@ -472,7 +502,7 @@ def build_analytic(series: SeriesSpec, eps: float, delta: float, clamp: bool = F
     stage_depth = 1
     if p >= 2:
         head_l1 = head.coeff_l1
-        while 3.0 * (p - 1) * 2.0 ** (-2 * stage_depth) * head_l1 > eps * l1:
+        while _chain_error(p, stage_depth) * head_l1 > eps * l1:
             stage_depth += 1
             if stage_depth > 64:
                 raise ParameterError("stage depth search exceeded 64 levels")
@@ -483,19 +513,8 @@ def build_analytic(series: SeriesSpec, eps: float, delta: float, clamp: bool = F
         # the whole head fell below the budget; the zero net suffices
         net = affine_net(0.0, np.zeros(d), Box.symmetric(d))
     shrunk = Box(np.full(d, -1.0 + delta), np.full(d, 1.0 - delta))
-    cert = BoundCertificate(
-        lemma="analytic",
-        params={
-            "d": d,
-            "delta": float(delta),
-            "eps": float(eps),
-            "coeff_l1": l1,
-            "p": p,
-            "stage_depth": stage_depth,
-        },
-        bound=2.0 * eps * l1,
-        box=shrunk,
-    )
+    cert = _certificate("analytic", shrunk, d=d, delta=float(delta), eps=float(eps),
+                        coeff_l1=l1, p=p, stage_depth=stage_depth)
     return AnalyticBuild(net, cert, p, stage_depth)
 
 

@@ -1,4 +1,4 @@
-"""Empirical sup-norm measurement, bound recomputation, and sweeps.
+"""Empirical sup-norm measurement, sweeps, and equivalence checks.
 
 The true sup-norm distance is a maximum over a continuum; this module
 estimates it over finite point sets. Three strategies are available:
@@ -11,6 +11,7 @@ estimates it over finite point sets. Three strategies are available:
 Grid evaluation is embarrassingly parallel. When ``threads`` exceeds one,
 chunks are evaluated concurrently and written into disjoint slices of one
 output array, so results are identical for every thread count.
+``theoretical_bound`` is re-exported from ``builders``, which owns the bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import BoundCertificate
+from .builders import BoundCertificate, theoretical_bound
 from .calculus import count_params
 from .errors import ParameterError, StructuralError
 from .nets import _CHUNK, Box, evaluate_batch
@@ -179,32 +180,6 @@ def sup_error(
     )
 
 
-# ---------------------------------------------------------------------------
-# Certified bound recomputation
-
-
-def theoretical_bound(cert: BoundCertificate) -> float:
-    """Recompute the closed-form bound from the certificate's parameters.
-
-    Must equal ``cert.bound`` exactly for every certificate the builders
-    produce; any mismatch means a corrupted certificate.
-    """
-    p = cert.params
-    if cert.lemma == "square":
-        return 2.0 ** (-2 * p["L"])
-    if cert.lemma == "multiply":
-        return 3.0 * 2.0 ** (-2 * p["L"])
-    if cert.lemma == "monomial":
-        return 3.0 * (p["p"] - 1) * 2.0 ** (-2 * p["L"])
-    if cert.lemma == "polynomial":
-        if p["p"] < 2:
-            return 0.0
-        return 3.0 * (p["p"] - 1) * 2.0 ** (-2 * p["L"]) * p["coeff_l1"]
-    if cert.lemma == "analytic":
-        return 2.0 * p["eps"] * p["coeff_l1"]
-    raise StructuralError(f"unknown certificate tag {cert.lemma!r}")
-
-
 def analytic_rate_bound(d: int, delta: float, depth: int, coeff_l1: float) -> float:
     """Depth-form error bound for the fixed-width analytic construction:
     ``2 * l1 * exp(-d * delta * (L**(1/(2d)) / e - 1))``."""
@@ -248,6 +223,8 @@ def convergence_sweep(build, target, depths, box: Box, strategy_for, threads=Non
             net, cert = build(L)
         except Exception as exc:
             raise ParameterError(f"builder failed at L={L}: {exc}") from exc
+        if net.depth == 0:
+            raise ParameterError(f"L={L} built a depth-0 (affine) net, nothing to sweep")
         report = sup_error(
             net, target, box, strategy_for(L), certificate=cert, threads=threads
         )

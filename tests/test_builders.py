@@ -1,5 +1,6 @@
 """Constructive builders: error profiles, certificates, structure budgets."""
 
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from relu_forge import (
     validate,
 )
 from relu_forge import builders
+from relu_forge.serialize import to_document
 
 from conftest import net_bits
 
@@ -411,3 +413,44 @@ class TestCertificates:
         c5 = build_analytic(series, 1e-3, 0.25).certificate
         for cert in (c1, c2, c3, c4, c5):
             assert theoretical_bound(cert) == cert.bound
+
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (
+                lambda: build_square(3),
+                '{"lemma": "square", "params": {"L": 3}, "bound": 0.015625, '
+                '"box": [[-1.0, 1.0]]}',
+            ),
+            (
+                lambda: build_multiply(3),
+                '{"lemma": "multiply", "params": {"L": 3}, "bound": 0.046875, '
+                '"box": [[-1.0, 1.0], [-1.0, 1.0]]}',
+            ),
+            (
+                lambda: build_monomial([1, 1, 2], 4, 2),
+                '{"lemma": "monomial", "params": {"p": 3, "L": 4, "d": 2}, '
+                '"bound": 0.0234375, "box": [[-1.0, 1.0], [-1.0, 1.0]]}',
+            ),
+            (
+                lambda: build_polynomial(
+                    PolySpec(2, {(0, 0): 1.0, (2, 0): -1.0, (1, 1): 0.5}), 3
+                ),
+                '{"lemma": "polynomial", "params": {"p": 2, "L": 3, "d": 2, '
+                '"coeff_l1": 2.5}, "bound": 0.1171875, '
+                '"box": [[-1.0, 1.0], [-1.0, 1.0]]}',
+            ),
+            (
+                lambda: build_analytic(preset_series("exp")[0], 1e-3, 0.25)[:2],
+                '{"lemma": "analytic", "params": {"d": 1, "delta": 0.25, '
+                '"eps": 0.001, "coeff_l1": 2.7182818284590455, "p": 4, '
+                '"stage_depth": 7}, "bound": 0.005436563656918091, '
+                '"box": [[-0.75, 0.75]]}',
+            ),
+        ],
+        ids=["square", "multiply", "monomial", "polynomial", "analytic"],
+    )
+    def test_certificate_bytes(self, build, text):
+        # params in the builders' key order, each bound to the last bit
+        net, cert = build()
+        assert json.dumps(to_document(net, cert)["certificate"]) == text

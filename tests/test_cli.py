@@ -287,6 +287,14 @@ class TestSweep:
         assert run(["sweep", "monomial:", "--depths", "2:3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["monomial:1", "poly:1:0.5"])
+    def test_affine_target_is_usage_error(self, target, capsys):
+        assert run(["sweep", target, "--depths", "1:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "L=1" in err and "depth-0 (affine)" in err
+        assert "count_params" not in err
+
     def test_preset_and_unknown_targets_are_usage_errors(self, capsys):
         assert run(["sweep", "exp", "--depths", "2:3"]) == 2
         assert "'exp' is not sweepable" in capsys.readouterr().err
@@ -416,6 +424,18 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["info", "-i", bad]) == 2
+
+    @pytest.mark.parametrize("params", [{}, {"L": "x"}])
+    def test_info_on_unusable_certificate_params(self, tmp_path, capsys, params):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        doc = json.loads(out.read_text())
+        doc["certificate"]["params"] = params
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["info", "-i", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "square" in err and "'L'" in err
 
     def test_unknown_target(self, tmp_path):
         out = tmp_path / "net.json"

@@ -142,6 +142,23 @@ class TestTheoreticalBound:
         with pytest.raises(StructuralError):
             theoretical_bound(cert)
 
+    @pytest.mark.parametrize(
+        "lemma, params, name",
+        [
+            ("square", {}, "L"),
+            ("square", {"L": "x"}, "L"),
+            ("multiply", {"L": None}, "L"),
+            ("monomial", {"p": 3, "d": 1}, "L"),
+            ("polynomial", {"p": 2, "L": 3, "d": 1}, "coeff_l1"),
+            ("polynomial", {"p": [2], "L": 3, "d": 1, "coeff_l1": 1.0}, "p"),
+            ("analytic", {"d": 1, "eps": "0.1", "coeff_l1": 1.0}, "eps"),
+        ],
+    )
+    def test_unusable_params_rejected(self, lemma, params, name):
+        cert = BoundCertificate(lemma=lemma, params=params, bound=1.0, box=Box.symmetric(1))
+        with pytest.raises(StructuralError, match=f"{lemma} certificate.*'{name}'"):
+            theoretical_bound(cert)
+
 
 class TestConvergenceSweep:
     def test_square_sweep_exact_column(self):
