@@ -27,9 +27,8 @@ def main() -> int:
     count = 0
     for label, net in chain(corpus(), shallow_nets()):
         prog = nets._program(net)
-        units = sum(len(block) for block, _ in prog.stages)
         digest = hashlib.sha256(pickle.dumps(prog)).hexdigest()
-        line = f"{label}: units={units} rows={prog.registers} {digest}"
+        line = f"{label}: units={prog.units} rows={prog.registers} {digest}"
         print(line)
         total.update(line.encode() + b"\n")
         count += 1

@@ -278,6 +278,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.tol is not None and not args.tol >= 0.0:  # no error exceeds a NaN
+        raise ParameterError(f"--tol must be a number >= 0, got {args.tol!r}")
     net, cert = _read_net(args.input)
     _, target, _ = _target(args.target, net.input_dim)
     box = cert.box if cert is not None else net.domain
@@ -319,12 +321,14 @@ def _cmd_sweep(args) -> int:
 def _print_eval(net, units: int) -> None:
     # the evaluator computes each distinct unit once, in this many rows per point
     prog = _program(net)
-    print(f"eval_units: {sum(len(block) for block, _ in prog.stages)} of {units}")
+    print(f"eval_units: {prog.units} of {units}")
     print(f"eval_rows: {prog.registers}")
 
 
 def _cmd_info(args) -> int:
     net, cert = _read_net(args.input)
+    # before the first line, so a certificate that cannot be recomputed prints none
+    recomputed = theoretical_bound(cert) if cert is not None else None
     print(f"kind: {type(net).__name__}")
     print(f"input_dim: {net.input_dim}")
     if isinstance(net, SkipNet):
@@ -347,7 +351,7 @@ def _cmd_info(args) -> int:
         print(f"shifts: {len(net.shifts)} recorded")
     if cert is not None:
         print(f"certificate: {cert.lemma} bound={cert.bound!r} "
-              f"(recomputed {theoretical_bound(cert)!r})")
+              f"(recomputed {recomputed!r})")
         print(f"certificate_params: {dict(cert.params)}")
         print(f"certificate_box: {cert.box.as_pairs()}")
     return 0

@@ -17,16 +17,17 @@ Three network kinds are used throughout:
 
 Evaluation compiles any of them into one straight-line program: per unit,
 its bias and its nonzero (source, weight) terms in declaration order. Every
-program is value-numbered under one slot rule: a layer reads x, then the
-layer before it. A standard layer after the first is a skip layer that reads
-no input, and a shallow net is one first layer. So the program computes each
-distinct unit once, however often the net repeats it, and leaves out units
-that no output reads; in a standard net, a unit that passes a computed unit
-on unchanged (a carry, an accumulator that adds nothing) costs nothing.
-The first evaluation keeps the program on the net. One kernel runs it over
-chunks of points. Every sum is formed in declaration order, so the output is
-bit-identical for every chunk size and thread count, and zero-weight padding
-changes no bit.
+program is value-numbered under one slot rule: a layer reads the layer
+before it, which for a first layer is x, and a skip layer reads x ahead of
+it. A shallow net is one first layer. A skip net's first layer weighs a zero
+layer before it, so that it matches the later units that read only x. So the
+program computes each distinct unit once, however often the net repeats it,
+and leaves out units that no output reads; in a standard net, a unit that
+passes a computed unit on unchanged (a carry, an accumulator that adds
+nothing) costs nothing. The first evaluation keeps the program on the net.
+One kernel runs it over chunks of points. Every sum is formed in
+declaration order, so the output is bit-identical for every chunk size and
+thread count, and zero-weight padding changes no bit.
 
 All types are immutable after construction (the kept program is derived
 from the fields and changes no value) and all functions here are pure, so
@@ -284,17 +285,20 @@ class ShallowNet:
 # registers hold the inputs, then the rows the units write.
 #
 # _numbered numbers the units of every kind in one loop, under one slot rule:
-# a layer reads x, then the layer before it, so a unit's row is its bias, its
-# weights of x, then its weights of layer l - 1. The first layer of any kind
-# has no layer before it; a standard layer after the first weighs no input;
-# a shallow net is one first layer. Units with the same bias (sign bit
-# included) and the same terms over the same values run the same float
-# operations on the same bits, so each distinct unit is computed once, and
-# units that no output term reads are left out. In a standard net, a unit
-# with bias +0.0 and one weight-1.0 term on a computed unit is that unit's
-# value: 0.0 + y and max(y, 0) are y for a ReLU output y >= +0.0. A unit that
-# reads an input, which may be -0.0, is always computed. So input carries and
-# unchanged accumulators cost nothing.
+# a layer reads the layer before it, which for a first layer is x, and a skip
+# layer reads x ahead of it. So a unit's row is its bias, its weights of x if
+# its layer reads x, then its weights of the layer before; a standard layer
+# weighs x only as layer 1, and a shallow net is one first layer. The skip
+# net's first layer keeps w zero columns for a layer before it, so its rows
+# have the bits of the hidden units that read only x: every added monomial
+# begins with such a layer, and its units are computed once. Units with the
+# same bias (sign bit included) and the same terms over the same values run
+# the same float operations on the same bits, so each distinct unit is
+# computed once, and units that no output term reads are left out. In a
+# standard net, a unit with bias +0.0 and one weight-1.0 term on a computed
+# unit is that unit's value: 0.0 + y and max(y, 0) are y for a ReLU output
+# y >= +0.0. A unit that reads an input, which may be -0.0, is always
+# computed. So input carries and unchanged accumulators cost nothing.
 #
 # _schedule makes every program, shallow ones included, in one placement pass.
 # It counts each value's reads, once per distinct live unit that reads it and
@@ -329,49 +333,10 @@ class _Program(NamedTuple):
         """Points per kernel pass, given _CHUNK points or more."""
         return max(1, _CHUNK * self.budget // (self.registers + 1))
 
-
-def _kinds(rows: np.ndarray, alias: bool = False) -> tuple:
-    """Kinds of the rows of a (units, 1 + slots) array of biases and slot
-    weights: the kind of each row and, per kind, its bits, its bias, the slots
-    it reads, their weights, and whether it may alias its one operand.
-
-    A kind is the bits of a row, so -0.0 and +0.0 differ. Rows with equal bits
-    have equal biases, read the same slots and weigh them the same, in any
-    array over the same slots. Given ``alias``, a kind with bias +0.0 and a
-    single weight-1.0 term may alias.
-    """
-    row_bits = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    _, first, kind = np.unique(row_bits, return_index=True, return_inverse=True)
-    kinds = rows[first]
-    reads = [np.flatnonzero(k[1:]) for k in kinds]
-    weights = [tuple(k[1:][r].tolist()) for k, r in zip(kinds, reads)]
-    zero_bias = kinds[:, 0].view(np.uint64) == 0  # +0.0 only
-    identity = [alias and z and x == (1.0,) for z, x in zip(zero_bias.tolist(), weights)]
-    bits = [k.tobytes() for k in kinds]
-    return kind, (bits, kinds[:, 0].tolist(), [r.tolist() for r in reads], weights, identity)
-
-
-def _number(layer, kinds, vals, ids: dict, units: list, d: int) -> list:
-    """Value ids of one layer's units, given the kind of each unit (from
-    ``_kinds``) and the value id of each slot they read. A unit is keyed by
-    the bits of its kind and its operand ids, so the blocks of one net share
-    ids; one not seen before gets the next id and joins ``units`` as
-    (bias, operand ids, weights). A unit that may alias reads a computed unit
-    (id >= d) and is it."""
-    bits, biases, reads, weights, identity = kinds
-    new = []
-    for k in layer:
-        ops = tuple([vals[s] for s in reads[k]])
-        if identity[k] and ops[0] >= d:
-            new.append(ops[0])
-            continue
-        key = bits[k], ops
-        v = ids.get(key)
-        if v is None:
-            v = ids[key] = d + len(units)
-            units.append((biases[k], ops, weights[k]))
-        new.append(v)
-    return new
+    @property
+    def units(self) -> int:
+        """Units the program computes."""
+        return sum(len(units) for units, _ in self.stages)
 
 
 def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> _Program:
@@ -434,13 +399,11 @@ _BLOCK = 1 << 14  # floats per block of layers, so that copies and temporaries s
 
 def _blocks(net: StandardNet):
     """(layer numbers, stacked weights, stacked biases) per block of a
-    standard net: layer 1 alone, as it weighs x where the others weigh the
-    layer before, then runs of layers of equal shapes, cut every _BLOCK
-    floats."""
+    standard net: runs of layers of equal shapes, cut every _BLOCK floats."""
 
     def block(lwb):
         layer, (W, b) = lwb
-        return layer == 1, W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
+        return W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
 
     for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
         layers, wbs = zip(*run)
@@ -449,24 +412,48 @@ def _blocks(net: StandardNet):
 
 
 def _numbered(d: int, blocks, alias: bool = False) -> tuple:
-    """The distinct units of a layered net, as ``_number`` lists them, and the
-    value ids of x, then of each layer's units. A block is a (layers, width,
-    1 + d + w) array of rows: a unit's bias, its weights of x, then its
-    weights of the w units of the layer before. The first layer has none
-    before it, so it weighs only x. ``alias`` goes to ``_kinds``."""
+    """The distinct units of a layered net, each as (bias, operand ids,
+    weights), and the value ids of x, then of each layer's units. A block is
+    a pair: whether its layers read x, and a (layers, width, 1 + slots) array
+    of rows, each a bias, then the weights of x if the layer reads it, then
+    those of the layer before. Given ``alias``, an identity unit is its operand."""
     units, ids, layers = [], {}, [list(range(d))]
-    for rows in blocks:
-        kind, kinds = _kinds(rows.reshape(-1, rows.shape[2]), alias)
+    for reads_x, rows in blocks:
+        flat = rows.reshape(-1, rows.shape[2])
+        # a kind is the bits of a row; one sort per block finds the kinds
+        row_bits = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
+        _, first, kind = np.unique(row_bits, return_index=True, return_inverse=True)
+        kinds = []
+        for k in flat[first]:
+            slots = np.flatnonzero(k[1:])
+            bits, xs = k.tobytes(), tuple(k[1:][slots].tolist())
+            identity = alias and xs == (1.0,) and not any(bits[:8])  # bias +0.0
+            kinds.append((bits, float(k[0]), slots.tolist(), xs, identity))
         for layer in kind.reshape(rows.shape[:2]).tolist():
-            layers.append(_number(layer, kinds, layers[0] + layers[-1], ids, units, d))
+            vals = layers[0] + layers[-1] if reads_x else layers[-1]
+            new = []
+            for k in layer:
+                bits, c, slots, xs, identity = kinds[k]
+                ops = tuple([vals[s] for s in slots])
+                if identity and ops[0] >= d:
+                    new.append(ops[0])
+                    continue
+                key = bits, ops
+                v = ids.get(key)
+                if v is None:
+                    v = ids[key] = d + len(units)
+                    units.append((c, ops, xs))
+                new.append(v)
+            layers.append(new)
     return units, layers
 
 
 def _compile_skip(net: SkipNet) -> _Program:
     d, w, depth = net.input_dim, net.width, net.depth
+    # w zero columns for a layer before the first: see the slot rule above _CHUNK
     first = np.concatenate([net.first_b[:, None], net.first_w, np.zeros((w, w))], axis=1)
     hidden = np.concatenate([net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2)
-    units, layers = _numbered(d, [first[None], hidden])
+    units, layers = _numbered(d, [(True, first[None]), (True, hidden)])
     ids = [v for layer in layers for v in layer]  # x_i is id i, then the hidden units
     weights = np.concatenate([net.out_a, net.out_beta.ravel()])
     nz = np.flatnonzero(weights)
@@ -478,11 +465,7 @@ def _compile_skip(net: SkipNet) -> _Program:
 
 def _compile_standard(net: StandardNet) -> _Program:
     d = net.input_dim
-    # a layer after the first is a skip layer that reads no input
-    blocks = (
-        np.concatenate([b[..., None], np.zeros((*b.shape, d * (layers[0] > 1))), W], axis=2)
-        for layers, W, b in _blocks(net)
-    )
+    blocks = ((False, np.concatenate([b[..., None], W], axis=2)) for _, W, b in _blocks(net))
     units, layers = _numbered(d, blocks, alias=True)
     nz = np.flatnonzero(net.out_w)
     outs = list(zip([layers[-1][i] for i in nz.tolist()], net.out_w[nz].tolist()))
@@ -492,7 +475,8 @@ def _compile_standard(net: StandardNet) -> _Program:
 
 def _compile_shallow(net: ShallowNet) -> _Program:
     d = net.input_dim
-    units, (_, vals) = _numbered(d, [np.concatenate([net.b[:, None], net.a], axis=1)[None]])
+    rows = np.concatenate([net.b[:, None], net.a], axis=1)
+    units, (_, vals) = _numbered(d, [(False, rows[None])])
     outs = list(zip(vals, net.c.tolist()))  # zero weights too
     prog = _schedule(d, units, outs, net.c0, d + 2)
     return prog._replace(ceiling=1.0) if net.activation == SIGMOIDAL_ACTIVATION else prog

@@ -69,39 +69,49 @@ class RandomPoints:
         return f"random:{self.count}:{self.seed}"
 
 
-def _dyadic_axis(lo: float, hi: float, level: int) -> np.ndarray:
-    """Odd multiples of 2**-level inside [lo, hi]; exact dyadic floats."""
-    scale = 2.0**-level
-    k_lo = math.ceil((lo / scale - 1.0) / 2.0)
-    k_hi = math.floor((hi / scale - 1.0) / 2.0)
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    return (2.0 * ks + 1.0) * scale
-
-
 def strategy_points(box: Box, strategy) -> np.ndarray:
-    """Materialize the strategy's point set inside the box, shape (n, d)."""
+    """Materialize the strategy's point set inside the box, shape (n, d).
+
+    The points are counted first: a set of more floats than one array can
+    hold is a ``ParameterError``."""
     if isinstance(strategy, Uniform):
         if strategy.points_per_dim < 1:
             raise ParameterError("uniform strategy needs at least one point per axis")
-        axes = [
-            np.linspace(lo, hi, strategy.points_per_dim)
-            for lo, hi in zip(box.lo, box.hi)
-        ]
+        n = strategy.points_per_dim**box.dim
     elif isinstance(strategy, DyadicMidpoints):
         if strategy.level < 1:
             raise ParameterError("dyadic strategy needs level >= 1")
-        axes = [_dyadic_axis(lo, hi, strategy.level) for lo, hi in zip(box.lo, box.hi)]
-        if any(a.size == 0 for a in axes):
+        # per axis, the first and last k with (2k + 1) * 2**-level in [lo, hi]
+        scale = 2.0**-strategy.level
+        try:  # a level past float64's range has more points than any array
+            ks = [
+                (math.ceil((lo / scale - 1.0) / 2.0), math.floor((hi / scale - 1.0) / 2.0))
+                for lo, hi in zip(box.lo.tolist(), box.hi.tolist())
+            ]
+        except (OverflowError, ZeroDivisionError):
+            raise ParameterError(f"{strategy.describe()}: too many points to count") from None
+        if any(k_hi < k_lo for k_lo, k_hi in ks):
             raise ParameterError("box contains no dyadic midpoints at this level")
+        n = math.prod(k_hi - k_lo + 1 for k_lo, k_hi in ks)
     elif isinstance(strategy, RandomPoints):
         if strategy.count < 1:
             raise ParameterError("random strategy needs at least one point")
         if strategy.seed < 0:
             raise ParameterError("random strategy needs a non-negative seed")
-        rng = np.random.default_rng(strategy.seed)
-        return box.sample(strategy.count, rng)
+        n = strategy.count
     else:
         raise ParameterError(f"unknown strategy {strategy!r}")
+    if n * box.dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(
+            f"{strategy.describe()} gives {n} points of dimension {box.dim}, "
+            "more floats than one array can hold"
+        )
+    if isinstance(strategy, RandomPoints):
+        return box.sample(n, np.random.default_rng(strategy.seed))
+    if isinstance(strategy, Uniform):
+        axes = [np.linspace(lo, hi, strategy.points_per_dim) for lo, hi in zip(box.lo, box.hi)]
+    else:  # exact dyadic floats
+        axes = [(2.0 * np.arange(k_lo, k_hi + 1, dtype=float) + 1.0) * scale for k_lo, k_hi in ks]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 

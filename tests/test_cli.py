@@ -462,6 +462,40 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_info_prints_nothing_before_an_unusable_certificate(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        doc = json.loads(out.read_text())
+        doc["certificate"]["params"] = {"L": "x"}
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["info", "-i", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: square certificate: 'L' needs a number, got 'x'\n"
+
+    @pytest.mark.parametrize(
+        "strategy", ["dyadic:64", "uniform:4611686018427387904", "random:4611686018427387904:1"]
+    )
+    def test_point_set_too_large_for_an_array_is_usage_error(self, tmp_path, capsys, strategy):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        capsys.readouterr()
+        assert run(["verify", "-i", out, "--target", "square", "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {strategy} gives ")
+
+    @pytest.mark.parametrize("tol", ["nan", "-0.5"])
+    def test_nan_or_negative_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 3, "-o", out])
+        capsys.readouterr()
+        code = run(["verify", "-i", out, "--target", "square", "--strategy", "dyadic:3", "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a number >= 0, got {float(tol)!r}\n"
+
 @pytest.fixture
 def documents(tmp_path, rng):
     """Paths of a skip document, a shallow document and an output not yet written."""

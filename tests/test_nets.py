@@ -1,6 +1,7 @@
 """Core type behavior: evaluation, validation, interval analysis."""
 
 import functools
+import json
 import math
 import operator
 import re
@@ -36,6 +37,7 @@ from relu_forge import (
     nets,
     pad_width,
     preset_series,
+    serialize_net,
     skip_to_standard,
     validate,
     wide_to_deep,
@@ -806,6 +808,23 @@ class TestKernelMatchesReference:
         net = chain_net(layer_w, layer_b, rng.uniform(-1, 1, 3))
         assert program_units(net) == 3
         self.assert_same_bytes(net, net.domain.sample(50, rng))
+
+    def test_first_layer_shares_a_block_with_a_layer_of_its_shape(self, rng):
+        # with width d, layers 1 and 2 have rows of one shape, [bias | W], so
+        # they form one block, and their bias-only units have equal rows
+        layer_w = [np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])]
+        layer_b = [np.array([0.5, 0.0]), np.array([0.5, 0.0])]
+        net = chain_net(layer_w, layer_b, [1.0, -1.0])
+        assert [layers for layers, _, _ in nets._blocks(net)] == [(1, 2)]
+        assert program_units(net) == 3  # the bias-only unit, the carry of x1, their sum
+        X = np.vstack([[[-0.0, 0.0]], net.domain.sample(50, rng)])
+        self.assert_same_bytes(net, X)
+        assert serialize_net(net) == json.dumps(to_document(net)) + "\n"
+        layer_w[1] = np.array([[0.0, 0.0], [1.0, np.nan]])
+        bad = chain_net(layer_w, layer_b, [1.0, -1.0])
+        assert validate(bad) == ["non-finite weight in layer 2"]
+        with pytest.raises(StructuralError, match="non-finite weight in layer 2$"):
+            evaluate_batch(bad, X)
 
     def test_wide_to_deep_on_uneven_partitions(self, rng):
         # every layer has its own shape, so its kinds come from a block of their own

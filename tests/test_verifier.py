@@ -1,5 +1,7 @@
 """Measurement machinery: strategies, reports, sweeps, equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,26 @@ class TestStrategies:
         with pytest.raises(ParameterError, match="seed"):
             strategy_points(Box.symmetric(1), RandomPoints(10, -1))
 
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [DyadicMidpoints(64), Uniform(2**62), RandomPoints(2**62, 1)],
+        ids=lambda s: s.describe(),
+    )
+    def test_point_set_too_large_for_an_array_is_rejected_unallocated(self, strategy):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"^{strategy.describe()} gives [0-9]+ points"):
+                strategy_points(Box.symmetric(1), strategy)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("level", [1030, 1100])
+    def test_dyadic_level_past_float64_is_rejected(self, level):
+        # the midpoint indices overflow float64, or 2**-level is zero
+        with pytest.raises(ParameterError, match=f"^dyadic:{level}: too many points"):
+            strategy_points(Box.symmetric(1), DyadicMidpoints(level))
 
 class TestSupError:
     def test_square_dyadic_argmax(self):
