@@ -18,6 +18,12 @@ and untraced ``outputs_sha256``, and per workload and metric each side's
 median and quartiles, the pairs the change won and lost (by the metric's
 ``better`` in CHANGE's BENCHMARK.json) and the relative change of the
 median.
+
+After each workload it prints one verdict line per end-to-end metric: each
+side's median and quartiles, the pairs won and lost, the relative change,
+and whether the gap between the medians exceeds the parent's quartile
+spread. A gain may be claimed when it does and the change won at least nine
+tenths of the pairs.
 """
 
 import argparse
@@ -79,6 +85,24 @@ def summarize(pairs, declared) -> dict:
     return summary
 
 
+def verdict(workload: str, name: str, entry: dict, pairs: int) -> str:
+    """One line: both sides' medians and quartiles, pairs won and lost, the
+    relative change, and the gap between the medians against the parent's
+    quartile spread."""
+    side = lambda s: "{median:.4g} [{q1:.4g}..{q3:.4g}]".format(**entry[s])
+    gap = entry["change"]["median"] - entry["parent"]["median"]
+    spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+    gain = -gap if entry["better"] == "lower" else gap
+    change = entry["median_change"]
+    claim = gain > spread and 10 * entry["change_won"] >= 9 * pairs
+    return (f"verdict {workload} {name}: parent {side('parent')} change {side('change')}"
+            f" won {entry['change_won']} lost {entry['change_lost']} of {pairs}"
+            f" change {'n/a' if change is None else f'{change:+.1%}'}"
+            f" gap {gap:+.4g} {'exceeds' if abs(gap) > spread else 'within'}"
+            f" parent spread {spread:.4g}"
+            f" claim {'holds' if claim else 'not met'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -111,8 +135,12 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       + " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items()), flush=True)
             pairs.append(pair)
-            report["workloads"][workload]["summary"] = summarize(pairs, declared)
+            summary = report["workloads"][workload]["summary"] = summarize(pairs, declared)
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        for metric in bench["end_to_end"]:
+            if metric["name"] in summary:
+                print(verdict(workload, metric["name"], summary[metric["name"]], len(pairs)),
+                      flush=True)
     return 0
 
 

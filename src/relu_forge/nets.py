@@ -25,8 +25,12 @@ program computes each distinct unit once, however often the net repeats it,
 and leaves out units that no output reads; in a standard net, a unit that
 passes a computed unit on unchanged (a carry, an accumulator that adds
 nothing) costs nothing. The first evaluation keeps the program on the net.
-One kernel runs it over chunks of points. Every sum is formed in
-declaration order, so the output is bit-identical for every chunk size and
+One kernel runs it over the points in the fewest passes that fit, split
+evenly. A pass takes as many points as a register file of 2**19 floats
+holds, but no more than the program's budget allows at _CHUNK points, and
+no fewer than that budget scaled to min(n, _CHUNK) points, so a program
+whose rows alone pass the cap is not split further. Every sum is formed in
+declaration order, so the output is bit-identical for every pass size and
 thread count, and zero-weight padding changes no bit.
 
 All types are immutable after construction (the kept program is derived
@@ -312,12 +316,25 @@ class ShallowNet:
 # is no larger than the inputs, two layers and the product row take at
 # _CHUNK points.
 #
+# A pass costs one numpy call per term and per activation whatever its
+# size, and a deep net has tens of thousands of them, so _run takes the
+# fewest passes that fit and splits the points evenly over them. A pass
+# takes as many points as a register file of _REGISTER_FLOATS floats holds,
+# but no more than _Program.points, so the file stays within the budget at
+# _CHUNK points. Its floor is the budget scaled to min(n, _CHUNK) points: a
+# program whose rows at that size already pass _REGISTER_FLOATS is not cut
+# into more passes to fit the cap. So the register file holds at most
+# max(_REGISTER_FLOATS, budget * min(n, _CHUNK)) floats.
+#
 # Sums run in that order with one rounding per multiply and per add, so no bit
 # depends on the chunk size or the thread count, and skipping zero weights
 # keeps padding neutral. A +-1 weight is a bare add or subtract, which rounds
 # the same; a shallow net keeps zero output terms (-0.0 + 0 * z is +0.0).
 
 _CHUNK = 1 << 16  # points per pass at a program's budget; verify's thread pool splits on it too
+# Floats a pass's register file may take above its floor. Passes up to the
+# budget alone run little faster, but lift a process's peak memory more.
+_REGISTER_FLOATS = 1 << 19
 
 
 class _Program(NamedTuple):
@@ -407,7 +424,7 @@ def _blocks(net: StandardNet):
 
     for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
         layers, wbs = zip(*run)
-        W, b = (np.stack(a) for a in zip(*wbs))
+        W, b = (np.array(a) for a in zip(*wbs))  # np.stack's per-array views cost more
         yield layers, W, b
 
 
@@ -505,11 +522,16 @@ def _run(prog: _Program, X) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise InputError("evaluation points must be finite")
-    # fewer than _CHUNK points shrink the pass in proportion, and the
-    # register file with it
-    step = max(1, prog.points * min(len(X), _CHUNK) // _CHUNK)
-    out, regs = np.empty(len(X)), np.empty((prog.registers + 1, min(len(X), step)))
-    for a in range(0, len(X), step):
+    # the fewest passes of at most p points, split evenly; p fills a register
+    # file of _REGISTER_FLOATS floats within the program's budget, and is no
+    # less than the budget scaled to min(n, _CHUNK) points
+    n = len(X)
+    floor = max(1, prog.points * min(n, _CHUNK) // _CHUNK)
+    p = max(floor, min(prog.points, _REGISTER_FLOATS // (prog.registers + 1)))
+    passes = -(-n // p)
+    step = -(-n // passes) if passes else 1
+    out, regs = np.empty(n), np.empty((prog.registers + 1, min(n, step)))
+    for a in range(0, n, step):
         acc = out[a : a + step]
         regs[: prog.input_dim, : len(acc)] = X[a : a + step].T
         *rows, tmp = regs[:, : len(acc)]  # the extra last row holds products
@@ -618,8 +640,16 @@ def _validate_standard(net: StandardNet) -> list:
         p.append("standard net requires at least one hidden layer")
         return p
     prev = net.input_dim
-    # one finiteness test per block; the messages keep layer order
+    # A block's layers share one shape, so its chain is checked once: the first
+    # layer chains from the width before it, and each later one from the
+    # first's rows. Only a block with a problem is walked layer by layer, so
+    # the messages keep layer order.
     for layers, Ws, bs in _blocks(net):
+        ok = Ws.ndim == 3 and Ws.shape[1:] == (bs.shape[1], prev)
+        ok = ok and (len(layers) == 1 or Ws.shape[1] == prev)  # later layers chain from rows
+        if ok and np.isfinite(Ws).all() and np.isfinite(bs).all():
+            prev = Ws.shape[1]
+            continue
         w_ok, b_ok = (
             np.isfinite(a).reshape(len(layers), -1).all(axis=1).tolist() for a in (Ws, bs)
         )

@@ -110,7 +110,11 @@ def strategy_points(box: Box, strategy) -> np.ndarray:
         return box.sample(n, np.random.default_rng(strategy.seed))
     if isinstance(strategy, Uniform):
         axes = [np.linspace(lo, hi, strategy.points_per_dim) for lo, hi in zip(box.lo, box.hi)]
-    else:  # exact dyadic floats
+    else:  # exact dyadic floats: float64 holds an odd numerator 2k + 1 only below 2**53
+        if any(max(-2 * k_lo - 1, 2 * k_hi + 1) >= 1 << 53 for k_lo, k_hi in ks):
+            raise ParameterError(
+                f"{strategy.describe()}: the box's midpoints at this level are not float64 numbers"
+            )
         axes = [(2.0 * np.arange(k_lo, k_hi + 1, dtype=float) + 1.0) * scale for k_lo, k_hi in ks]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)

@@ -485,6 +485,18 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {strategy} gives ")
 
+    def test_dyadic_midpoints_past_float64_precision_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        doc = json.loads(out.read_text())
+        del doc["certificate"]
+        doc["domain"] = [[0.5, 0.5 + 2.0**-50]]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "-i", out, "--target", "square", "--strategy", "dyadic:60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: dyadic:60: ")
+
     @pytest.mark.parametrize("tol", ["nan", "-0.5"])
     def test_nan_or_negative_tolerance_is_usage_error(self, tmp_path, capsys, tol):
         out = tmp_path / "net.json"

@@ -343,6 +343,68 @@ class TestValidate:
             "non-finite weight in output",
         ]
 
+    @staticmethod
+    def long_blocks():
+        """Layers 2-30 of shape (3, 3) and 31-36 of shape (2, 3), as two blocks."""
+        layer_w = [np.ones((3, 1))] + [np.ones((3, 3))] * 29 + [np.ones((2, 3))] * 6
+        layer_b = [np.zeros(3)] * 30 + [np.zeros(2)] * 6
+        return [w.copy() for w in layer_w], [b.copy() for b in layer_b]
+
+    def test_standard_problems_inside_long_blocks(self):
+        layer_w, layer_b = self.long_blocks()
+        layer_w[9][1, 2] = np.nan
+        layer_b[14][0] = np.inf
+        layer_w[19] = np.ones((3, 2))  # a shape that breaks the chain, then one that resumes it
+        layer_w[20][0, 0] = -np.inf
+        layer_b[24] = np.zeros(4)
+        layer_w[26] = np.ones(3)
+        layer_w[32][0, 0] = np.nan  # hidden by its shape, which chains only at layer 31
+        bad = StandardNet(1, tuple(layer_w), tuple(layer_b), np.ones(2), 0.0, Box.symmetric(1))
+        # the messages, in order, that a walk over every layer gives
+        assert validate(bad) == [
+            "non-finite weight in layer 10",
+            "non-finite weight in layer 15 bias",
+            "layer 20 weight shape (3, 2) does not chain from width 3",
+            "non-finite weight in layer 21",
+            "layer 25 weight shape (3, 3) does not chain from width 3",
+            "layer 27 weight shape (3,) does not chain from width 3",
+            "layer 32 weight shape (2, 3) does not chain from width 2",
+            "layer 33 weight shape (2, 3) does not chain from width 2",
+            "layer 34 weight shape (2, 3) does not chain from width 2",
+            "layer 35 weight shape (2, 3) does not chain from width 2",
+            "layer 36 weight shape (2, 3) does not chain from width 2",
+        ]
+
+    def test_standard_problems_match_a_per_layer_walk(self, rng):
+        def walk(net):  # every layer checked on its own
+            p, prev = [], net.input_dim
+            for layer, (W, b) in enumerate(zip(net.layer_w, net.layer_b), 1):
+                if W.ndim != 2 or W.shape != (b.shape[0], prev):
+                    p.append(f"layer {layer} weight shape {W.shape} does not chain from width {prev}")
+                    prev = W.shape[0] if W.ndim == 2 else prev
+                    continue
+                if not np.isfinite(W).all():
+                    p.append(f"non-finite weight in layer {layer}")
+                if not np.isfinite(b).all():
+                    p.append(f"non-finite weight in layer {layer} bias")
+                prev = W.shape[0]
+            return p
+
+        shapes = [(3, 3), (2, 3), (3, 2), (3,), (3, 1)]
+        for _ in range(50):
+            layer_w, layer_b = self.long_blocks()
+            for layer in rng.choice(36, 3, replace=False).tolist():
+                trouble = rng.integers(3)
+                if trouble == 0:
+                    layer_w[layer] = np.ones(shapes[rng.integers(len(shapes))])
+                elif trouble == 1:
+                    layer_w[layer].flat[0] = np.nan
+                else:
+                    layer_b[layer][-1] = np.inf
+            net = StandardNet(1, tuple(layer_w), tuple(layer_b), np.ones(2), 0.0, Box.symmetric(1))
+            problems = walk(net)
+            assert validate(net)[: len(problems)] == problems
+
 
 def valid_skip(**fields) -> SkipNet:
     """A valid depth-2, width-2 skip net on [-1, 1] with ``fields`` replaced."""
@@ -936,3 +998,87 @@ def test_branching_2d_head_fits_in_few_rows():
     exp2 = SeriesSpec(PolySpec(2, coeffs), tail_l1_bound=preset_series("exp")[0].tail_l1_bound)
     net = build_analytic(exp2, 1e-6, 0.25).net
     assert nets._compile_skip(net).registers <= 200
+
+
+class TestPasses:
+    """_run takes the fewest passes its register file allows, never more than
+    a pass of the budget scaled to min(n, _CHUNK) points did."""
+
+    NETS = {
+        "skip": lambda rng: make_random_skip(1, 5, 4, rng),
+        "standard": lambda rng: skip_to_standard(make_random_skip(1, 5, 4, rng)),
+        "shallow relu": lambda rng: make_random_shallow(2, 6, rng),
+        "shallow sigmoidal": lambda rng: make_random_shallow(2, 6, rng, nets.SIGMOIDAL_ACTIVATION),
+    }
+
+    @staticmethod
+    def run_passes(net, X, monkeypatch) -> tuple:
+        """The net's output on X and the length of each kernel pass, seen
+        through the output terms each pass adds to its slice of the output."""
+        slices, add_terms = {}, nets._add_terms
+
+        def spy(z, terms, rows, tmp, start=None):
+            if start is None:  # the output terms; z is the pass's output slice
+                slices[z.ctypes.data] = len(z)
+            add_terms(z, terms, rows, tmp, start)
+
+        monkeypatch.setattr(nets, "_add_terms", spy)
+        out = evaluate_batch(net, X)
+        monkeypatch.setattr(nets, "_add_terms", add_terms)
+        return out, list(slices.values())
+
+    @staticmethod
+    def cap(prog) -> int:
+        """Points of a pass for n >= _CHUNK: a register file of at most 2**19
+        floats, within the program's budget."""
+        return min(prog.points, (1 << 19) // (prog.registers + 1))
+
+    @staticmethod
+    def scaled_passes(prog, n) -> int:
+        """Passes of the budget scaled to min(n, _CHUNK) points, a pass's floor."""
+        step = max(1, prog.points * min(n, nets._CHUNK) // nets._CHUNK)
+        return -(-n // step)
+
+    def assert_pass_rule(self, net, n, rng, monkeypatch):
+        prog = nets._program(net)
+        X = net.domain.sample(n, rng)
+        out, steps = self.run_passes(net, X, monkeypatch)
+        floor = max(1, prog.points * min(n, nets._CHUNK) // nets._CHUNK)
+        p = max(floor, self.cap(prog))
+        passes = -(-n // p)
+        assert len(steps) == passes <= self.scaled_passes(prog, n)
+        step = -(-n // passes)  # split evenly; the last pass takes the rest
+        assert steps == [step] * (passes - 1) + [n - step * (passes - 1)]
+        assert (prog.registers + 1) * max(steps) <= prog.budget * nets._CHUNK
+        return X, out
+
+    @pytest.mark.parametrize("kind", NETS)
+    def test_passes_at_the_edges_of_a_pass(self, kind, rng, monkeypatch):
+        net = self.NETS[kind](rng)
+        p = self.cap(nets._program(net))
+        for n in (1, p - 1, p, p + 1, 2 * p + 1):
+            X, out = self.assert_pass_rule(net, n, rng, monkeypatch)
+            assert out.tobytes() == reference_forward(net, X)[0].tobytes()
+
+    @pytest.mark.parametrize("kind", NETS)
+    def test_no_more_passes_than_a_pass_scaled_to_the_points(self, kind, rng, monkeypatch):
+        net = self.NETS[kind](rng)
+        chunk = nets._CHUNK
+        for n in (2, 3, 1000, chunk // 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            self.assert_pass_rule(net, n, rng, monkeypatch)
+        monkeypatch.setattr(nets, "_CHUNK", 7)
+        for n in range(1, 60):
+            X, out = self.assert_pass_rule(net, n, rng, monkeypatch)
+            assert out.tobytes() == reference_forward(net, X)[0].tobytes()
+
+    def test_the_cap_binds_below_the_budget(self, rng):
+        # a skip net of width 4 on one input may hold 10 floats per point at
+        # _CHUNK points, more than 2**19 floats; its passes keep to the cap
+        prog = nets._program(self.NETS["skip"](rng))
+        assert self.cap(prog) < prog.points
+
+    @pytest.mark.parametrize("kind", NETS)
+    def test_no_points(self, kind, rng, monkeypatch):
+        net = self.NETS[kind](rng)
+        out, steps = self.run_passes(net, np.zeros((0, net.input_dim)), monkeypatch)
+        assert out.shape == (0,) and steps == []

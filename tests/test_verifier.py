@@ -1,6 +1,7 @@
 """Measurement machinery: strategies, reports, sweeps, equivalence."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ class TestStrategies:
         # the midpoint indices overflow float64, or 2**-level is zero
         with pytest.raises(ParameterError, match=f"^dyadic:{level}: too many points"):
             strategy_points(Box.symmetric(1), DyadicMidpoints(level))
+
+    def test_dyadic_midpoints_past_float64_precision_are_rejected(self):
+        # the 513 midpoints at level 60 have numerators near 2**59, past
+        # float64's 53 bits; computed in floats they all round to 0.5
+        box = Box(np.array([0.5]), np.array([0.5 + 2.0**-50]))
+        with pytest.raises(ParameterError, match="^dyadic:60: .* not float64 numbers"):
+            strategy_points(box, DyadicMidpoints(60))
+        # at level 53 the numerators 2**52 + 1 .. 2**52 + 7 are below 2**53
+        X = strategy_points(box, DyadicMidpoints(53))
+        numerators = [Fraction(x) * 2**53 for x in X[:, 0].tolist()]
+        assert numerators == [2**52 + i for i in (1, 3, 5, 7)]
+        with pytest.raises(ParameterError, match="not float64 numbers"):
+            strategy_points(box, DyadicMidpoints(54))
+        # likewise below zero
+        X = strategy_points(Box(-box.hi, -box.lo), DyadicMidpoints(53))
+        assert [Fraction(x) * 2**53 for x in X[:, 0].tolist()] == [-n for n in numerators[::-1]]
+
 
 class TestSupError:
     def test_square_dyadic_argmax(self):
