@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import add, compose, pad_width, substitute_inputs
+from .calculus import _sum, add, compose, pad_width, substitute_inputs
 from .errors import (
     NoFreeChannelError,
     ParameterError,
@@ -407,8 +407,9 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
 
     Constant and degree-1 terms fold into the output affine map and cost no
     layers; each degree-q term with q >= 2 contributes a monomial net of
-    depth ``3 (q-1) L``, added in lexicographic exponent order. Certified
-    error ``3 (p-1) 4**-L`` times the total coefficient mass, p the degree.
+    depth ``3 (q-1) L``, and all of them are summed in one step, in
+    lexicographic exponent order. Certified error ``3 (p-1) 4**-L`` times
+    the total coefficient mass, p the degree.
 
     A monomial's product chain resumes from the longest earlier monomial
     whose factor list is a prefix of its own (x^4 from x^2, x1^2 x2 from
@@ -423,19 +424,13 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
     d = spec.input_dim
     box = Box.symmetric(d)
     a0 = spec.coeffs.get((0,) * d, 0.0)
-    avec = np.zeros(d)
-    for i in range(d):
-        unit = tuple(1 if j == i else 0 for j in range(d))
-        avec[i] = spec.coeffs.get(unit, 0.0)
-    net = affine_net(a0, avec, box)
+    avec = [spec.coeffs.get(tuple(k), 0.0) for k in np.eye(d, dtype=int).tolist()]
     high = sorted(k for k in spec.coeffs if multi_index_degree(k) >= 2)
     chains: dict = {}
-    mono_nets = [
-        _monomial_chain(expand_multi_index(k), L, d, clamp, chains) for k in high
-    ]
+    mono_nets = [_monomial_chain(expand_multi_index(k), L, d, clamp, chains) for k in high]
     width = max([3] + [m.width for m in mono_nets])
-    for k, mono in zip(high, mono_nets):
-        net = add(net, pad_width(mono, width), 1.0, spec.coeffs[k])
+    terms = [(spec.coeffs[k], pad_width(m, width)) for k, m in zip(high, mono_nets)]
+    net = _sum([(1.0, affine_net(a0, avec, box)), *terms])
     cert = _certificate("polynomial", box, p=spec.degree, L=L, d=d, coeff_l1=spec.coeff_l1)
     return net, cert
 

@@ -4,6 +4,7 @@ Operations here rewrite networks while preserving the computed function:
 scaled addition, composition, width padding, input substitution, conversion
 of skip-form nets to plain feedforward form, re-layering of shallow nets
 into deep ones, and rewriting of bounded-ramp activations into ReLU pairs.
+A scaled sum of any number of operands stacks in one step, ``_sum``.
 
 Signed values that must survive a ReLU layer untouched are stored with a
 positivity shift: a channel holds ``v + c`` with ``c`` picked from interval
@@ -66,14 +67,6 @@ def _require(cond: bool, message: str):
         raise StructuralError(message)
 
 
-def _same_domain(f1: SkipNet, f2: SkipNet):
-    _require(
-        np.array_equal(f1.domain.lo, f2.domain.lo)
-        and np.array_equal(f1.domain.hi, f2.domain.hi),
-        "operands must share a domain box",
-    )
-
-
 def _head_lo(f: SkipNet) -> float:
     """Lower bound of the affine head ``out_a0 + out_a . x`` over the domain."""
     return f.out_a0 + float(_affine_range(f.out_a, 0.0, f.domain.lo, f.domain.hi)[0])
@@ -108,35 +101,47 @@ def add(f1: SkipNet, f2: SkipNet, alpha1: float, alpha2: float) -> SkipNet:
     dimension, width, and domain box; a depth-0 operand folds into the
     other's output coefficients without adding layers.
     """
-    _require(f1.input_dim == f2.input_dim, "input dimensions differ")
-    _same_domain(f1, f2)
-    alpha1, alpha2 = float(alpha1), float(alpha2)
-    if f1.depth == 0 or f2.depth == 0:
-        deep, a_deep = (f1, alpha1) if f1.depth > 0 else (f2, alpha2)
-        flat, a_flat = (f2, alpha2) if f1.depth > 0 else (f1, alpha1)
-        return replace(
-            deep,
-            out_a0=a_deep * deep.out_a0 + a_flat * flat.out_a0,
-            out_a=a_deep * deep.out_a + a_flat * flat.out_a,
-            out_beta=a_deep * deep.out_beta,
+    return _sum([(alpha1, f1), (alpha2, f2)])
+
+
+def _sum(terms) -> SkipNet:
+    """Net computing the sum of ``alpha * f(x)`` over the ``(alpha, f)`` terms.
+
+    Scaled sums stack in one step, one concatenation per array. The first
+    deep operand's layers come first; each later deep operand's first layer
+    becomes an interior layer that still reads only x. Depth-0 operands add
+    no layers. ``out_a0`` and ``out_a`` are summed left to right, and the
+    scaled ``out_beta`` rows and the shifts follow, in operand order.
+    """
+    terms = [(float(alpha), f) for alpha, f in terms]
+    f1 = terms[0][1]
+    for _, f2 in terms[1:]:
+        _require(f1.input_dim == f2.input_dim, "input dimensions differ")
+        _require(f1.domain.as_pairs() == f2.domain.as_pairs(), "operands must share a domain box")
+    # a sum of depth-0 operands keeps the last one's empty layers
+    deep = [(alpha, f) for alpha, f in terms if f.depth > 0] or terms[-1:]
+    lead = deep[0][1]
+    wx, wy, b = [lead.hidden_wx], [lead.hidden_wy], [lead.hidden_b]
+    for _, f in deep[1:]:
+        _require(
+            lead.width == f.width,
+            f"widths differ ({lead.width} vs {f.width}); pad_width the narrower operand",
         )
-    _require(
-        f1.width == f2.width,
-        f"widths differ ({f1.width} vs {f2.width}); pad_width the narrower operand",
-    )
-    # f2's first layer becomes an interior layer that still reads only x.
-    return SkipNet(
-        input_dim=f1.input_dim,
-        first_w=f1.first_w,
-        first_b=f1.first_b,
-        hidden_wx=np.concatenate([f1.hidden_wx, f2.first_w[None], f2.hidden_wx]),
-        hidden_wy=np.concatenate([f1.hidden_wy, np.zeros((1, f1.width, f1.width)), f2.hidden_wy]),
-        hidden_b=np.concatenate([f1.hidden_b, f2.first_b[None], f2.hidden_b]),
-        out_a0=alpha1 * f1.out_a0 + alpha2 * f2.out_a0,
-        out_a=alpha1 * f1.out_a + alpha2 * f2.out_a,
-        out_beta=np.vstack([alpha1 * f1.out_beta, alpha2 * f2.out_beta]),
-        domain=f1.domain,
-        shifts=f1.shifts + f2.shifts,
+        wx += [f.first_w[None], f.hidden_wx]
+        wy += [np.zeros((1, f.width, f.width)), f.hidden_wy]
+        b += [f.first_b[None], f.hidden_b]
+    out_a0, out_a = terms[0][0] * f1.out_a0, terms[0][0] * f1.out_a
+    for alpha, f in terms[1:]:
+        out_a0, out_a = out_a0 + alpha * f.out_a0, out_a + alpha * f.out_a
+    return replace(
+        lead,
+        hidden_wx=np.concatenate(wx),
+        hidden_wy=np.concatenate(wy),
+        hidden_b=np.concatenate(b),
+        out_a0=out_a0,
+        out_a=out_a,
+        out_beta=np.vstack([alpha * f.out_beta for alpha, f in deep]),
+        shifts=tuple(s for _, f in terms for s in f.shifts),
     )
 
 

@@ -349,6 +349,7 @@ def _cmd_info(args) -> int:
     print(f"domain: {net.domain.as_pairs()}")
     if getattr(net, "shifts", ()):
         print(f"shifts: {len(net.shifts)} recorded")
+        print(f"max_shift: {max(net.shifts)!r}")
     if cert is not None:
         print(f"certificate: {cert.lemma} bound={cert.bound!r} "
               f"(recomputed {recomputed!r})")

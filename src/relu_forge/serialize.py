@@ -15,6 +15,7 @@ stays as the reference.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -296,14 +297,22 @@ def deserialize_net(text: str):
     """Parse JSON text back into (net, certificate or None).
 
     Parse failures carry the byte offset; version mismatches and invariant
-    violations raise their own error types.
+    violations raise their own error types. The cyclic garbage collector is
+    paused while the document is read, since a parsed document holds no
+    cycle; a caller that had it off finds it off.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentParseError(
-            f"document parse error at byte {exc.pos}: {exc.msg}", offset=exc.pos
-        ) from exc
-    if not isinstance(doc, dict):
-        raise DocumentParseError("document root must be a JSON object", offset=0)
-    return from_document(doc)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentParseError(
+                f"document parse error at byte {exc.pos}: {exc.msg}", offset=exc.pos
+            ) from exc
+        if not isinstance(doc, dict):
+            raise DocumentParseError("document root must be a JSON object", offset=0)
+        return from_document(doc)
+    finally:
+        if enabled:
+            gc.enable()

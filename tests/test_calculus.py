@@ -1,6 +1,8 @@
 """Structural algebra: addition, composition, padding, conversions, counts."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +43,8 @@ from relu_forge import (
     wide_to_deep,
 )
 
-from relu_forge import builders
+from relu_forge import builders, calculus
+from relu_forge.serialize import to_document
 
 from conftest import make_random_shallow, make_random_skip
 
@@ -90,6 +93,114 @@ class TestAdd:
         X = f.domain.sample(300, rng)
         resid = eval_skip_batch(s, X) - 2.0 * eval_skip_batch(f, X) - 3.0 * eval_skip_batch(aff, X)
         assert np.abs(resid).max() <= 1e-12
+
+
+def assert_same_bits(a, b, rng):
+    """``a`` and ``b`` have equal documents and equal evaluation bytes."""
+    doc = lambda net: json.dumps(to_document(net), sort_keys=True)
+    assert doc(a) == doc(b)
+    X = a.domain.sample(257, rng)
+    assert evaluate_batch(a, X).tobytes() == evaluate_batch(b, X).tobytes()
+
+
+def pairwise_fold(terms):
+    """Scaled sum of ``(alpha, net)`` terms by ``add``, two operands at a time."""
+    (a1, f1), *rest = terms
+    if not rest:
+        return replace(f1, out_a0=a1 * f1.out_a0, out_a=a1 * f1.out_a, out_beta=a1 * f1.out_beta)
+    net = add(f1, rest[0][1], a1, rest[0][0])
+    for alpha, f in rest[1:]:
+        net = add(net, f, 1.0, alpha)
+    return net
+
+
+def polynomial_fold(spec, L):
+    """A polynomial's net as the sum of separately built monomials, added pairwise."""
+    d = spec.input_dim
+    box = Box.symmetric(d)
+    avec = np.zeros(d)
+    for i in range(d):
+        avec[i] = spec.coeffs.get(tuple(int(j == i) for j in range(d)), 0.0)
+    net = affine_net(spec.coeffs.get((0,) * d, 0.0), avec, box)
+    high = sorted(k for k in spec.coeffs if sum(k) >= 2)
+    monos = [build_monomial(builders.expand_multi_index(k), L, d)[0] for k in high]
+    width = max([3] + [m.width for m in monos])
+    for k, mono in zip(high, monos):
+        net = add(net, pad_width(mono, width), 1.0, spec.coeffs[k])
+    return net
+
+
+class TestSum:
+    """``_sum`` stacks any number of scaled operands in one step."""
+
+    def operand(self, deep, d, w, rng):
+        if not deep:
+            return affine_net(rng.normal(), rng.normal(size=d), Box.symmetric(d))
+        f = make_random_skip(d, int(rng.integers(1, 4)), w, rng)
+        return replace(f, shifts=tuple(rng.uniform(0.0, 4.0, int(rng.integers(0, 3)))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_pairwise_fold(self, n, rng):
+        d, w = 2, 3
+        for flat in [None, *range(n)]:
+            for _ in range(3):
+                nets = [self.operand(i != flat and rng.random() < 0.7, d, w, rng) for i in range(n)]
+                alphas = [float(rng.choice([rng.uniform(-2, 2), 1.0, -0.0])) for _ in nets]
+                terms = list(zip(alphas, nets))
+                s = calculus._sum(terms)
+                assert s.depth == sum(f.depth for f in nets)
+                assert_same_bits(s, pairwise_fold(terms), rng)
+
+    def test_layout_and_output_map(self, rng):
+        nets = [self.operand(deep, 2, 3, rng) for deep in (False, True, False, True, True)]
+        nets[0] = affine_net(-0.0, [-0.0, -0.0], Box.symmetric(2))
+        for n in range(1, 6):
+            terms = list(zip([1.0, -0.5, 2.0, 0.75, -3.0], nets[:n]))
+            s = calculus._sum(terms)
+            deep = [(alpha, f) for alpha, f in terms if f.depth]
+            # each later deep operand's first layer is an interior layer reading only x
+            for (_, f), i in zip(deep[1:], np.cumsum([f.depth for _, f in deep])[:-1] - 1):
+                assert (s.hidden_wy[i] == 0.0).all()
+                assert np.array_equal(s.hidden_wx[i], f.first_w)
+                assert np.array_equal(s.hidden_b[i], f.first_b)
+            if deep:
+                assert np.array_equal(s.out_beta, np.vstack([a * f.out_beta for a, f in deep]))
+            assert s.shifts == tuple(x for f in nets[:n] for x in f.shifts)
+            # summed left to right from the first term: 1.0 * -0.0 stays -0.0
+            out_a0, out_a = -0.0, np.full(2, -0.0)
+            for alpha, f in terms[1:]:
+                out_a0, out_a = out_a0 + alpha * f.out_a0, out_a + alpha * f.out_a
+            assert float(s.out_a0).hex() == out_a0.hex() and s.out_a.tobytes() == out_a.tobytes()
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda rng: make_random_skip(3, 2, 3, rng), "input dimensions differ"),
+            (lambda rng: affine_net(0.5, [1.0, 2.0], Box.symmetric(2, 2.0)), "share a domain box"),
+            (lambda rng: make_random_skip(2, 2, 4, rng), "widths differ"),
+        ],
+    )
+    def test_contract_errors_whichever_operand_breaks_them(self, broken, message, rng):
+        for k in range(4):
+            nets = [make_random_skip(2, 2, 3, rng) for _ in range(4)]
+            nets[k] = broken(rng)
+            with pytest.raises(StructuralError, match=message):
+                calculus._sum([(1.0, f) for f in nets])
+
+    def test_polynomial_with_shared_prefixes_equals_the_pairwise_fold(self, rng):
+        spec = PolySpec(2, {(0, 0): 0.25, (0, 1): -1.5, (3, 0): 0.5, (2, 1): -0.25, (2, 0): 1,
+                            (1, 2): 0.125, (0, 3): 0.5, (2, 2): 0.25})
+        for L in (1, 3):
+            net, _ = build_polynomial(spec, L)
+            assert_same_bits(net, polynomial_fold(spec, L), rng)
+
+    def test_runge_head_equals_the_pairwise_fold(self, rng):
+        series, _ = preset_series("runge")
+        built = build_analytic(series, 1e-6, 0.25)
+        head = series.head.truncated(built.truncation_degree)
+        net, _ = build_polynomial(head, built.stage_depth)
+        assert_same_bits(net, polynomial_fold(head, built.stage_depth), rng)
+        assert_same_bits(built.net, net, rng)
 
 
 def affine_reference(a0, a, X):

@@ -184,6 +184,17 @@ class TestEvalVerifyInfo:
         net, _ = deserialize_net(out.read_text())
         assert int(fields["eval_rows"]) == nets._compile_skip(net).registers
 
+    def test_info_prints_the_largest_shift(self, tmp_path, capsys):
+        out = tmp_path / "runge.json"
+        run(["build", "analytic", "--preset", "runge", "--eps", "1e-3", "--delta", "0.25",
+             "-o", out])
+        capsys.readouterr()
+        assert run(["info", "-i", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        net, _ = deserialize_net(out.read_text())
+        at = lines.index(f"shifts: {len(net.shifts)} recorded")
+        assert lines[at + 1] == f"max_shift: {max(net.shifts)!r}"
+
     def test_info_shows_the_units_standard_evaluation_computes(self, tmp_path, capsys):
         src, dst = tmp_path / "runge.json", tmp_path / "std.json"
         run(["build", "analytic", "--preset", "runge", "--eps", "1e-6", "--delta", "0.25",

@@ -1,6 +1,7 @@
 """Document round trips and rejection paths."""
 
 import dataclasses
+import gc
 import json
 import re
 
@@ -24,6 +25,7 @@ from relu_forge import (
     skip_to_standard,
     validate,
 )
+from relu_forge import serialize
 from relu_forge.serialize import from_document, to_document
 
 from conftest import make_random_shallow, make_random_skip, net_bits
@@ -180,6 +182,27 @@ class TestRoundTrip:
             back, cert2 = deserialize_net(json.dumps(to_document(net, cert), indent=2))
             assert net_bits(back) == net_bits(net)
             assert net_bits(cert2) == net_bits(cert)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reading_pauses_the_collector_and_restores_it(self, enabled, monkeypatch):
+        text = serialize_net(*build_square(2))
+        seen = []
+
+        def spy(doc):
+            seen.append(gc.isenabled())
+            return from_document(doc)
+
+        monkeypatch.setattr(serialize, "from_document", spy)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            deserialize_net(text)
+            assert seen == [False] and gc.isenabled() is enabled
+            with pytest.raises(DocumentParseError):
+                deserialize_net(text[:-5])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestRejection:
