@@ -13,14 +13,16 @@ end), `skip_to_standard` of every net of depth >= 1, and `wide_to_deep` of
 seeded shallow nets on random partitions. Each line is a label and the
 sha256 over the net's document (`to_document`, shifts included, keys
 sorted) and the bytes of `evaluate_batch` on 257 seeded points of its
-domain. The line after them is the sha256 over all of them, and the last
+domain. The line after them is the sha256 over all of them, and the next
 line, ``documents <sha256>``, hashes the ``serialize_net`` text of every
-net in order, so the writer's bytes can be compared too. The last line,
+net in order, so the writer's bytes can be compared too. The next line,
 ``certificates <sha256>``, hashes the ``serialize_net`` text of every
 builder net together with its certificate, so a change to a certificate's
-params or bound shows as well. Run it against two source trees and compare
-the output. A full run takes about ten
-seconds on a 2-core machine.
+params or bound shows as well. The last line, ``ranges <sha256>``, hashes
+`interval_bounds(net, net.domain)` of every skip net of the corpus, compose
+results included, so a change to range analysis shows even where no shift
+moves. Run it against two source trees and compare the output. A full run
+takes about ten seconds on a 2-core machine.
 """
 
 import hashlib
@@ -43,6 +45,7 @@ from relu_forge import (
     build_square,
     compose,
     evaluate_batch,
+    interval_bounds,
     pad_width,
     preset_series,
     sigmoidal_to_relu,
@@ -196,6 +199,14 @@ def digest(net) -> str:
     return hashlib.sha256(doc + values(net).tobytes()).hexdigest()
 
 
+def ranges(net) -> bytes:
+    """The bytes of every array and bound of the net's range analysis."""
+    rep = interval_bounds(net, net.domain)
+    arrays = (*rep.pre_lo, *rep.pre_hi, *rep.post_lo, *rep.post_hi)
+    bounds = np.array([*rep.term_lo, rep.out_lo, rep.out_hi])
+    return b"".join(a.tobytes() for a in arrays) + bounds.tobytes()
+
+
 def main() -> int:
     total, documents = hashlib.sha256(), hashlib.sha256()
     count = 0
@@ -211,6 +222,10 @@ def main() -> int:
     for _, (net, cert) in builder_nets():
         certificates.update(serialize_net(net, cert).encode())
     print(f"certificates {certificates.hexdigest()}")
+    analyzed = hashlib.sha256()
+    for _, net in skip_nets():
+        analyzed.update(ranges(net))
+    print(f"ranges {analyzed.hexdigest()}")
     return 0
 
 

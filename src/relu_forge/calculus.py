@@ -14,9 +14,14 @@ recorded on the result's ``shifts`` metadata.
 
 Ranges have one source: ``nets.interval_bounds``, whose ``term_lo`` bounds
 each hidden layer's output term, and ``nets._affine_range`` for the output
-head over the box. Shifts have one rule, ``_shift``: a value with lower
-bound ``lo`` is shifted by ``max(0, -lo)``. ``_shifts`` applies it to
-running partials, each the sum of its terms taken in order.
+head over the box. ``compose`` copies the inner net's layers up to its
+first one with output coefficients unchanged, so its result keeps their
+ranges over the domain, and analyzing it resumes after them: along a
+product chain each compose analyzes only the last two stages' layers.
+Any other rewrite builds a net without kept ranges. Shifts have one rule,
+``_shift``: a value with lower bound ``lo`` is shifted by ``max(0, -lo)``.
+``_shifts`` applies it to running partials, each the sum of its terms taken
+in order.
 
 One function lays out the standard form: ``skip_to_standard`` alone builds
 input-carry and accumulator channels, which hold the box's lower ends and
@@ -45,6 +50,7 @@ from .nets import (
     SkipNet,
     StandardNet,
     _affine_range,
+    _keep_ranges,
     affine_net,
     interval_bounds,
 )
@@ -335,7 +341,7 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
     ay = float(f2.out_a[0])
     if ay != 0.0:
         out_beta[L1 + L2 - 1, M] = ay
-    return SkipNet(
+    net = SkipNet(
         input_dim=d,
         first_w=f1.first_w,
         first_b=f1.first_b,
@@ -348,6 +354,8 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
         domain=f1.domain,
         shifts=f1.shifts + f2.shifts + tuple(new_shifts),
     )
+    # layers 0 .. first are f1's own, so the next compose resumes after them
+    return _keep_ranges(net, rep, first + 1, f1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ whose rows alone pass the cap is not split further. Every sum is formed in
 declaration order, so the output is bit-identical for every pass size and
 thread count, and zero-weight padding changes no bit.
 
-All types are immutable after construction (the kept program is derived
-from the fields and changes no value) and all functions here are pure, so
-values can be shared freely across threads.
+All types are immutable after construction (the kept program, and the
+ranges a compose result keeps for ``interval_bounds``, are derived from the
+fields and change no value) and all functions here are pure, so values can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -302,7 +303,10 @@ class ShallowNet:
 # standard net, a unit with bias +0.0 and one weight-1.0 term on a computed
 # unit is that unit's value: 0.0 + y and max(y, 0) are y for a ReLU output
 # y >= +0.0. A unit that reads an input, which may be -0.0, is always
-# computed. So input carries and unchanged accumulators cost nothing.
+# computed. So input carries and unchanged accumulators cost nothing. A layer
+# of the same row kinds as an earlier one, over the same previous values, has
+# that layer's ids, so the layers a summed net repeats from a shared product
+# chain are numbered once.
 #
 # _schedule makes every program, shallow ones included, in one placement pass.
 # It counts each value's reads, once per distinct live unit that reads it and
@@ -433,34 +437,46 @@ def _numbered(d: int, blocks, alias: bool = False) -> tuple:
     weights), and the value ids of x, then of each layer's units. A block is
     a pair: whether its layers read x, and a (layers, width, 1 + slots) array
     of rows, each a bias, then the weights of x if the layer reads it, then
-    those of the layer before. Given ``alias``, an identity unit is its operand."""
-    units, ids, layers = [], {}, [list(range(d))]
+    those of the layer before. Given ``alias``, an identity unit is its operand.
+    A layer of the same kinds over the same values as an earlier one has its
+    ids, so a repeated layer is numbered once."""
+    units, ids, layers = [], {}, [tuple(range(d))]
+    kinds, kind_ids, seen = [], {}, {}
     for reads_x, rows in blocks:
         flat = rows.reshape(-1, rows.shape[2])
-        # a kind is the bits of a row; one sort per block finds the kinds
+        # a kind is the bits of a row; one sort per block finds the block's
+        # kinds, and each is numbered once over all blocks
         row_bits = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
         _, first, kind = np.unique(row_bits, return_index=True, return_inverse=True)
-        kinds = []
+        names = []
         for k in flat[first]:
-            slots = np.flatnonzero(k[1:])
-            bits, xs = k.tobytes(), tuple(k[1:][slots].tolist())
-            identity = alias and xs == (1.0,) and not any(bits[:8])  # bias +0.0
-            kinds.append((bits, float(k[0]), slots.tolist(), xs, identity))
-        for layer in kind.reshape(rows.shape[:2]).tolist():
-            vals = layers[0] + layers[-1] if reads_x else layers[-1]
-            new = []
-            for k in layer:
-                bits, c, slots, xs, identity = kinds[k]
-                ops = tuple([vals[s] for s in slots])
-                if identity and ops[0] >= d:
-                    new.append(ops[0])
-                    continue
-                key = bits, ops
-                v = ids.get(key)
-                if v is None:
-                    v = ids[key] = d + len(units)
-                    units.append((c, ops, xs))
-                new.append(v)
+            bits = k.tobytes()
+            name = kind_ids.get((reads_x, bits))
+            if name is None:
+                name = kind_ids[reads_x, bits] = len(kinds)
+                slots = np.flatnonzero(k[1:])
+                xs = tuple(k[1:][slots].tolist())
+                identity = alias and xs == (1.0,) and not any(bits[:8])  # bias +0.0
+                kinds.append((bits, float(k[0]), slots.tolist(), xs, identity))
+            names.append(name)
+        for layer in np.array(names)[kind].reshape(rows.shape[:2]).tolist():
+            key = tuple(layer), layers[-1]
+            new = seen.get(key)
+            if new is None:
+                vals = layers[0] + layers[-1] if reads_x else layers[-1]
+                new = []
+                for k in layer:
+                    bits, c, slots, xs, identity = kinds[k]
+                    ops = tuple([vals[s] for s in slots])
+                    if identity and ops[0] >= d:
+                        new.append(ops[0])
+                        continue
+                    v = ids.get((bits, ops))
+                    if v is None:
+                        v = ids[bits, ops] = d + len(units)
+                        units.append((c, ops, xs))
+                    new.append(v)
+                new = seen[key] = tuple(new)
             layers.append(new)
     return units, layers
 
@@ -732,32 +748,63 @@ def _affine_range(W, b, lo, hi):
     return b + pos @ lo + neg @ hi, b + pos @ hi + neg @ lo
 
 
+def _same_box(a: Box, b: Box) -> bool:
+    """Whether two boxes have the same endpoint bits."""
+    return a.lo.tobytes() == b.lo.tobytes() and a.hi.tobytes() == b.hi.tobytes()
+
+
+def _keep_ranges(net: SkipNet, rep: IntervalReport, layers: int, inner: SkipNet) -> SkipNet:
+    """``net``, keeping its first ``layers`` layers' ranges from ``rep``, the
+    analysis of ``inner`` over its domain: ``net`` copies those layers of
+    ``inner`` and shares that domain, and ``interval_bounds`` resumes after
+    them. Like the program, they live in the instance ``__dict__``, so a net
+    that a rewrite builds anew starts without them. Reports hand the arrays
+    out, so they are read-only: those ``inner`` kept already are, and the
+    rest are frozen here, once."""
+    kept = tuple(r[:layers] for r in (rep.pre_lo, rep.pre_hi, rep.post_lo, rep.post_hi))
+    frozen = len(vars(inner).get("_ranges", ((),))[0])
+    for r in kept:
+        for a in r[frozen:]:
+            a.setflags(write=False)
+    vars(net)["_ranges"] = kept
+    return net
+
+
 def interval_bounds(net, box: Box) -> IntervalReport:
     """Propagate the box through the net, layer by layer.
 
     The returned intervals are supersets of the true ranges (standard
-    interval arithmetic, no correlation tracking).
+    interval arithmetic, no correlation tracking). A skip net that
+    ``_keep_ranges`` gave the ranges of its first layers over its domain
+    resumes after them when ``box`` is that domain, bit for bit: a layer's
+    ranges depend only on it, the layers before it and the box. Those
+    layers' arrays in the report are the net's own, and read-only.
     """
     if box.dim != net.input_dim:
         raise InputError(f"box dimension {box.dim} != input_dim {net.input_dim}")
     pre_lo, pre_hi, post_lo, post_hi, term_lo, term_hi = [], [], [], [], [], []
     if isinstance(net, SkipNet):
         if net.depth > 0:
-            # the input part of every hidden layer at once, and the sign split
-            # of hidden_wy in blocks of layers of at most _BLOCK floats; bias
-            # 0.0 and adding the y part keep the bits
-            xlo, xhi = _affine_range(net.hidden_wx, 0.0, box.lo, box.hi)
+            if _same_box(box, net.domain) and "_ranges" in vars(net):
+                pre_lo, pre_hi, post_lo, post_hi = (list(r) for r in vars(net)["_ranges"])
+            # the input part of every hidden layer from the first one analyzed
+            # (layer 1 at the earliest) at once, and the sign split of
+            # hidden_wy in blocks of layers of at most _BLOCK floats; bias 0.0
+            # and adding the y part keep the bits
+            start = max(len(pre_lo), 1)
+            xlo, xhi = _affine_range(net.hidden_wx[start - 1 :], 0.0, box.lo, box.hi)
             step = max(1, _BLOCK // net.width**2)
-            lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
-            for l in range(net.depth):
-                if l:
-                    i = (l - 1) % step
+            for l in range(len(pre_lo), net.depth):
+                if l == 0:
+                    lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
+                else:
+                    i = (l - start) % step
                     if i == 0:
                         wy = net.hidden_wy[l - 1 : l - 1 + step]
                         pos, neg = np.clip(wy, 0.0, None), np.clip(wy, None, 0.0)
                     p, n, b = pos[i], neg[i], net.hidden_b[l - 1]
-                    lo = xlo[l - 1] + (b + p @ post_lo[-1] + n @ post_hi[-1])
-                    hi = xhi[l - 1] + (b + p @ post_hi[-1] + n @ post_lo[-1])
+                    lo = xlo[l - start] + (b + p @ post_lo[-1] + n @ post_hi[-1])
+                    hi = xhi[l - start] + (b + p @ post_hi[-1] + n @ post_lo[-1])
                 pre_lo.append(lo)
                 pre_hi.append(hi)
                 post_lo.append(np.maximum(lo, 0.0))

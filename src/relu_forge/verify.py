@@ -291,12 +291,15 @@ def equivalence_check(
 
     Passes when ``|a(x) - b(x)| <= tol * (1 + |a(x)|)`` at every sample;
     ``argmax`` and ``max_deviation`` are at the largest normalized deviation,
-    which decides it. Identical seeds give bit-identical reports.
+    which decides it. Identical seeds give bit-identical reports. A NaN or
+    negative ``tol`` raises ``ParameterError``: no deviation would pass it.
     """
     if net_a.input_dim != net_b.input_dim:
         raise StructuralError("nets have different input dimensions")
     if n_samples < 1:
         raise ParameterError("equivalence check needs at least one sample")
+    if not tol >= 0.0:  # no deviation is within a NaN
+        raise ParameterError(f"tol must be a number >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     X = box.sample(n_samples, rng)
     va = evaluate_batch(net_a, X)

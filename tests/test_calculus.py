@@ -47,6 +47,7 @@ from relu_forge import builders, calculus
 from relu_forge.serialize import to_document
 
 from conftest import make_random_shallow, make_random_skip
+from test_nets import reference_interval_bounds
 
 
 class TestAdd:
@@ -366,6 +367,55 @@ def test_inner_terms_before_the_first_output_layer_are_positive_zero(monkeypatch
     monkeypatch.setattr(builders, "compose", spy)
     build()
     assert max(firsts) > 0
+
+
+def assert_same_ranges(net, box):
+    got, want = interval_bounds(net, box), reference_interval_bounds(net, box)
+    for name in ("pre_lo", "pre_hi", "post_lo", "post_hi"):
+        assert [a.tobytes() for a in getattr(got, name)] == [
+            a.tobytes() for a in getattr(want, name)
+        ], name
+    assert [v.hex() for v in got.term_lo] == [v.hex() for v in want.term_lo]
+    assert (got.out_lo.hex(), got.out_hi.hex()) == (want.out_lo.hex(), want.out_hi.hex())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_monomial([1] * 7, 2, 1),
+        lambda: build_monomial([1] * 7, 2, 1, clamp=True),
+        lambda: build_analytic(preset_series("runge")[0], 1e-6, 0.25),
+    ],
+    ids=["monomial", "clamped monomial", "runge 1e-6"],
+)
+def test_compose_results_resume_range_analysis_bit_for_bit(monkeypatch, build):
+    # a compose result keeps the ranges of the inner net's layers it copies;
+    # analysis over its domain resumes after them and must equal the full
+    # per-layer analysis, and a rewrite or another box must not reuse them
+    results, real = [], builders.compose
+
+    def spy(f2, f1):
+        results.append(real(f2, f1))
+        return results[-1]
+
+    monkeypatch.setattr(builders, "compose", spy)
+    build()
+    assert all(vars(c)["_ranges"][0] for c in results)  # every check below resumes
+    for c in results:
+        assert_same_ranges(c, c.domain)
+        with pytest.raises(ValueError, match="read-only"):
+            interval_bounds(c, c.domain).post_lo[0][0] = 2.0
+        assert_same_ranges(pad_width(c, c.width + 1), c.domain)
+        assert_same_ranges(c, Box(c.domain.lo * 0.5, c.domain.hi * 0.75))
+    c = results[-1]
+    assert pad_width(c, c.width) is c and vars(c)["_ranges"]
+    for rewrite in (
+        replace(c),
+        add(c, c, 1.0, -0.5),
+        substitute_inputs(c, np.eye(c.input_dim), np.zeros(c.input_dim), c.domain),
+    ):
+        assert "_ranges" not in vars(rewrite)
+        assert_same_ranges(rewrite, rewrite.domain)
 
 
 class TestPadWidth:

@@ -299,3 +299,15 @@ class TestEquivalenceCheck:
         n2, _ = build_multiply(2)
         with pytest.raises(StructuralError):
             equivalence_check(n1, n2, n1.domain, 100, 0, 1e-9)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+    def test_nan_or_negative_tolerance_rejected(self, tol):
+        # no deviation passes such a tolerance, so a net would fail against itself
+        net, _ = build_square(2)
+        with pytest.raises(ParameterError, match=r"tol must be a number >= 0, got"):
+            equivalence_check(net, net, net.domain, 100, 0, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0])
+    def test_zero_tolerance_passes_a_net_against_itself(self, tol):
+        net, _ = build_square(2)
+        assert equivalence_check(net, net, net.domain, 100, 0, tol).passed
