@@ -290,10 +290,11 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
             )
 
     rep = interval_bounds(f1, f1.domain)
-    # acc_shift[l] shifts f1's output partial over layers 0 .. l-1;
-    # carry_shift shifts the whole of f1(x).
-    acc_shift = _shifts(0.0, [0.0, *rep.term_lo[:-1]])
-    carry_shift = _shifts(_head_lo(f1), rep.term_lo)[-1]
+    # acc_shift[k] shifts f1's output partial over layers 0 .. first+k-1; the
+    # terms before layer ``first`` are zeros, so the partial starts from +0.0
+    # there. carry_shift shifts the whole of f1(x): the head, then every term.
+    acc_shift = _shifts(0.0, [0.0, *rep.term_lo[first:-1]])
+    carry_shift = _shift(_head_lo(f1) + np.cumsum(rep.term_lo)[-1:])[0]
 
     # Coefficients expressing f1(x) over (last layer of f1, x, constant).
     e_coeffs = f1.out_beta[-1].copy() if support.size else np.zeros(W)
@@ -310,7 +311,7 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
         wx[first : L1 - 1, acc] = 0.0
         wy[first : L1 - 1, acc] = f1.out_beta[first:-1]
         wy[first + 1 : L1 - 1, acc, acc] += 1.0
-        b[first : L1 - 1, acc] = np.diff(acc_shift[first:])
+        b[first : L1 - 1, acc] = np.diff(acc_shift)
         e_coeffs[acc] = 1.0
         e_const = f1.out_a0 - acc_shift[-1]
 
@@ -319,7 +320,7 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
     inner_w = f2.hidden_wx[:, :, 0]
     readers = np.flatnonzero(np.append((inner_w != 0.0).any(axis=1), f2.out_a[0] != 0.0))
     carry_alive = int(readers[-1]) + 1 if readers.size else 0
-    new_shifts = acc_shift[first + 1 :] + ([carry_shift] if carry_alive > 0 else [])
+    new_shifts = acc_shift[1:] + ([carry_shift] if carry_alive > 0 else [])
 
     # Boundary layer: f2's first layer plus the carry channel.
     c = f2.first_w[:, 0]
@@ -355,7 +356,7 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
         shifts=f1.shifts + f2.shifts + tuple(new_shifts),
     )
     # layers 0 .. first are f1's own, so the next compose resumes after them
-    return _keep_ranges(net, rep, first + 1, f1)
+    return _keep_ranges(net, rep, first + 1)
 
 
 # ---------------------------------------------------------------------------

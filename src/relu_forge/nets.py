@@ -33,10 +33,16 @@ whose rows alone pass the cap is not split further. Every sum is formed in
 declaration order, so the output is bit-identical for every pass size and
 thread count, and zero-weight padding changes no bit.
 
-All types are immutable after construction (the kept program, and the
-ranges a compose result keeps for ``interval_bounds``, are derived from the
-fields and change no value) and all functions here are pure, so values can
-be shared freely across threads.
+A standard net stacks its layers into blocks of equal shapes once, on first
+use, and validation, the document writer and compilation share them.
+Interval range analysis of a skip net from layer 0 propagates each distinct
+(layer row, incoming ranges) pair once, bit for bit: a summed net repeats
+each monomial's chain prefix, so a deep net has few distinct pairs.
+
+All types are immutable after construction (the kept program and blocks,
+and the ranges a compose result keeps for ``interval_bounds``, are derived
+from the fields and change no value) and all functions here are pure, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -367,50 +373,75 @@ def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> 
     each takes a free row as it is placed, and a value's row is freed when
     its count reaches zero. ``budget`` is the floats per point that a pass of
     _CHUNK points may hold."""
+    n = d + len(units)
     # one read per distinct live unit that reads a value and per output term;
     # a value with no read is dead
-    reads = [0] * (d + len(units))
+    reads = [0] * n
     for v, _ in outs:
         reads[v] += 1
-    for v in range(len(reads) - 1, d - 1, -1):
-        for o in set(units[v - d][1]) if reads[v] else ():
-            reads[o] += 1
+    for v in range(n - 1, d - 1, -1):
+        if reads[v]:
+            ops = units[v - d][1]
+            for o in ops if len(ops) == 1 else set(ops):
+                reads[o] += 1
     # A chain starts at a unit that reads no computed unit and takes in the
     # units that read it; chains run one after the other, each level by level.
-    # A bias-only unit goes just before its first reader.
-    level, chain = {}, {}
-    for v in range(d, len(reads)):
+    # Level 0 marks the values outside every chain: x, dead units and
+    # bias-only units. A bias-only unit goes just before its first reader.
+    level, chain, order = [0] * n, [0] * n, []
+    for v in range(d, n):
         ops = units[v - d][1]
-        if reads[v] and ops:
-            deps = [o for o in ops if o in level]
-            level[v] = 1 + max((level[o] for o in deps), default=0)
-            chain[v] = max((chain[o] for o in deps), default=v)
+        if ops and reads[v]:
+            top_level, top_chain = 0, -1
+            for o in ops:
+                if level[o]:
+                    if level[o] > top_level:
+                        top_level = level[o]
+                    if chain[o] > top_chain:
+                        top_chain = chain[o]
+            level[v] = top_level + 1
+            chain[v] = top_chain if top_chain >= 0 else v
+            order.append((chain[v], level[v], v))
+    order.sort()
+    # Each unit takes a free row as it is placed, before its operands free
+    # theirs; a value read for the last time frees its row.
     row, free, body, program, top, j = list(range(d)) + [None] * len(units), [], [], [], d, 0
-
-    def release(values):  # one read each; a value read for the last time frees its row
-        for o in values:
-            reads[o] -= 1
-        free.extend(row[o] for o in dict.fromkeys(values) if o >= d and not reads[o])
-
-    def place(*values):  # not recursive, so no reference cycle keeps the locals
-        nonlocal top
-        for u in values:
-            if row[u] is None:  # a unit takes its row before its operands free theirs
-                c, ops, xs = units[u - d]
-                row[u], top = (free.pop(), top) if free else (top, top + 1)
-                release(dict.fromkeys(ops))
-                body.append((row[u], c, tuple(zip([row[o] for o in ops], xs))))
-
-    for v in [None, *sorted(level, key=lambda v: (chain[v], level[v], v))]:
+    for v in [None, *[v for _, _, v in order]]:
         if v is not None:
-            place(*units[v - d][1], v)
+            c, ops, xs = units[v - d]
+            for o in ops:
+                if row[o] is None:  # a bias-only unit
+                    row[o], top = (free.pop(), top) if free else (top, top + 1)
+                    body.append((row[o], units[o - d][0], ()))
+            row[v], top = (free.pop(), top) if free else (top, top + 1)
+            if len(ops) == 1:
+                o = ops[0]
+                reads[o] -= 1
+                if not reads[o] and o >= d:
+                    free.append(row[o])
+                body.append((row[v], c, ((row[o], xs[0]),)))
+            else:
+                for o in dict.fromkeys(ops):  # one read per distinct operand
+                    reads[o] -= 1
+                    if not reads[o] and o >= d:
+                        free.append(row[o])
+                body.append((row[v], c, tuple(zip([row[o] for o in ops], xs))))
         i = j  # each output term goes in once it and every earlier one can
-        while j < len(outs) and (row[outs[j][0]] is not None or outs[j][0] not in level):
-            place(outs[j][0])
+        while j < len(outs):
+            o = outs[j][0]
+            if row[o] is None:
+                if level[o]:
+                    break
+                row[o], top = (free.pop(), top) if free else (top, top + 1)
+                body.append((row[o], units[o - d][0], ()))  # a bias-only unit
             j += 1
         if j > i:
-            release([o for o, _ in outs[i:j]])
-            program.append((tuple(body), tuple((row[o], x) for o, x in outs[i:j])))
+            terms = outs[i:j]
+            for o, _ in terms:  # one read per term; rows freed once all are taken
+                reads[o] -= 1
+            free.extend(row[o] for o in dict.fromkeys([o for o, _ in terms])
+                        if o >= d and not reads[o])
+            program.append((tuple(body), tuple([(row[o], x) for o, x in terms])))
             body.clear()
     return _Program(d, top, out_bias, None, tuple(program), budget)
 
@@ -418,18 +449,27 @@ def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> 
 _BLOCK = 1 << 14  # floats per block of layers, so that copies and temporaries stay small
 
 
-def _blocks(net: StandardNet):
+def _blocks(net: StandardNet) -> tuple:
     """(layer numbers, stacked weights, stacked biases) per block of a
-    standard net: runs of layers of equal shapes, cut every _BLOCK floats."""
+    standard net: runs of layers of equal shapes, cut every _BLOCK floats.
+    The blocks are stacked on first use and kept read-only in the instance
+    ``__dict__``, as the program is, so validate, the writer and compile
+    share one stacking; a net built anew, by ``dataclasses.replace`` too,
+    starts without them."""
+    blocks = vars(net).get("_blocks")
+    if blocks is None:
 
-    def block(lwb):
-        layer, (W, b) = lwb
-        return W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
+        def block(lwb):
+            layer, (W, b) = lwb
+            return W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
 
-    for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
-        layers, wbs = zip(*run)
-        W, b = (np.array(a) for a in zip(*wbs))  # np.stack's per-array views cost more
-        yield layers, W, b
+        blocks = []
+        for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
+            layers, wbs = zip(*run)
+            W, b = (_frozen(np.array(a)) for a in zip(*wbs))  # np.stack's views cost more
+            blocks.append((layers, W, b))
+        blocks = vars(net)["_blocks"] = tuple(blocks)
+    return blocks
 
 
 def _numbered(d: int, blocks, alias: bool = False) -> tuple:
@@ -753,20 +793,14 @@ def _same_box(a: Box, b: Box) -> bool:
     return a.lo.tobytes() == b.lo.tobytes() and a.hi.tobytes() == b.hi.tobytes()
 
 
-def _keep_ranges(net: SkipNet, rep: IntervalReport, layers: int, inner: SkipNet) -> SkipNet:
-    """``net``, keeping its first ``layers`` layers' ranges from ``rep``, the
-    analysis of ``inner`` over its domain: ``net`` copies those layers of
-    ``inner`` and shares that domain, and ``interval_bounds`` resumes after
-    them. Like the program, they live in the instance ``__dict__``, so a net
-    that a rewrite builds anew starts without them. Reports hand the arrays
-    out, so they are read-only: those ``inner`` kept already are, and the
-    rest are frozen here, once."""
-    kept = tuple(r[:layers] for r in (rep.pre_lo, rep.pre_hi, rep.post_lo, rep.post_hi))
-    frozen = len(vars(inner).get("_ranges", ((),))[0])
-    for r in kept:
-        for a in r[frozen:]:
-            a.setflags(write=False)
-    vars(net)["_ranges"] = kept
+def _keep_ranges(net: SkipNet, rep: IntervalReport, layers: int) -> SkipNet:
+    """``net``, keeping its first ``layers`` layers' ranges from ``rep``, an
+    analysis over its domain of a net whose first layers ``net`` copies, so
+    that ``interval_bounds`` resumes after them. Like the program, they live
+    in the instance ``__dict__``, so a net that a rewrite builds anew starts
+    without them."""
+    kept = (rep.pre_lo, rep.pre_hi, rep.post_lo, rep.post_hi)
+    vars(net)["_ranges"] = tuple(r[:layers] for r in kept)
     return net
 
 
@@ -774,11 +808,14 @@ def interval_bounds(net, box: Box) -> IntervalReport:
     """Propagate the box through the net, layer by layer.
 
     The returned intervals are supersets of the true ranges (standard
-    interval arithmetic, no correlation tracking). A skip net that
-    ``_keep_ranges`` gave the ranges of its first layers over its domain
-    resumes after them when ``box`` is that domain, bit for bit: a layer's
-    ranges depend only on it, the layers before it and the box. Those
-    layers' arrays in the report are the net's own, and read-only.
+    interval arithmetic, no correlation tracking). A layer's ranges depend
+    only on the bits of its row (bias, input and previous-layer weights), of
+    the ranges it reads and of the box. So a skip net that ``_keep_ranges``
+    gave the ranges of its first layers over its domain resumes after them
+    when ``box`` is that domain, bit for bit, and an analysis from layer 0
+    propagates each distinct (row, incoming ranges) pair once: a summed net
+    repeats each monomial's chain prefix, and a repeat shares the arrays of
+    the layer it repeats. A skip net's range arrays are read-only.
     """
     if box.dim != net.input_dim:
         raise InputError(f"box dimension {box.dim} != input_dim {net.input_dim}")
@@ -794,6 +831,18 @@ def interval_bounds(net, box: Box) -> IntervalReport:
             start = max(len(pre_lo), 1)
             xlo, xhi = _affine_range(net.hidden_wx[start - 1 :], 0.0, box.lo, box.hi)
             step = max(1, _BLOCK // net.width**2)
+            # An analysis from layer 0 memoizes each layer's ranges by the bits
+            # of its row and of the ranges it reads. A resumed one, as compose
+            # runs, rarely meets a layer twice and skips the keys.
+            memo = None if pre_lo else {}
+            if memo is not None:
+                rows = np.concatenate(
+                    [net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2
+                )
+                k = rows.shape[1] * rows.shape[2]
+                keys = rows.reshape(-1, k).view(np.dtype((np.void, 8 * k))).ravel().tolist()
+            analyzed = []  # (pre_lo, pre_hi, post_lo, post_hi) of each layer analyzed
+            ylo, yhi = (post_lo[-1], post_hi[-1]) if post_lo else (None, None)
             for l in range(len(pre_lo), net.depth):
                 if l == 0:
                     lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
@@ -802,13 +851,28 @@ def interval_bounds(net, box: Box) -> IntervalReport:
                     if i == 0:
                         wy = net.hidden_wy[l - 1 : l - 1 + step]
                         pos, neg = np.clip(wy, 0.0, None), np.clip(wy, None, 0.0)
+                    if memo is not None:
+                        key = keys[l - 1], seen
+                        hit = memo.get(key)
+                        if hit is not None:
+                            ranges, seen = hit
+                            analyzed.append(ranges)
+                            _, _, ylo, yhi = ranges
+                            continue
                     p, n, b = pos[i], neg[i], net.hidden_b[l - 1]
-                    lo = xlo[l - start] + (b + p @ post_lo[-1] + n @ post_hi[-1])
-                    hi = xhi[l - start] + (b + p @ post_hi[-1] + n @ post_lo[-1])
-                pre_lo.append(lo)
-                pre_hi.append(hi)
-                post_lo.append(np.maximum(lo, 0.0))
-                post_hi.append(np.maximum(hi, 0.0))
+                    lo = xlo[l - start] + (b + p @ ylo + n @ yhi)
+                    hi = xhi[l - start] + (b + p @ yhi + n @ ylo)
+                ylo, yhi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+                ranges = lo, hi, ylo, yhi
+                for a in ranges:
+                    a.setflags(write=False)
+                analyzed.append(ranges)
+                if memo is not None:
+                    seen = ylo.tobytes() + yhi.tobytes()
+                    if l:
+                        memo[key] = ranges, seen
+            for r, new in zip((pre_lo, pre_hi, post_lo, post_hi), zip(*analyzed)):
+                r.extend(new)
             ys = np.array(post_lo)[..., None], np.array(post_hi)[..., None]
             tlo, thi = _affine_range(net.out_beta[:, None], 0.0, *ys)
             term_lo, term_hi = tlo.ravel().tolist(), thi.ravel().tolist()

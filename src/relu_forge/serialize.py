@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import json
+from itertools import groupby
 
 import numpy as np
 
@@ -220,12 +221,27 @@ def _skip_from(doc: dict) -> SkipNet:
 
 
 def _standard_from(doc: dict) -> StandardNet:
+    depth = int(doc["depth"])
     layers = doc["layers"]
+    if depth != len(layers):
+        raise DocumentInvariantError(
+            f"declared depth {depth} inconsistent with {len(layers)} stored layers"
+        )
     out = doc["output"]
+
+    def shape(layer):  # ragged rows fail np.array below, and a ragged layer validate
+        W = layer["W"]
+        return len(W), len(W[0]) if W else 0, len(layer["b"])
+
+    layer_w, layer_b = [], []
+    for _, run in groupby(layers, key=shape):  # one flat list per run of equal shapes
+        run = list(run)
+        layer_w.extend(np.array([layer["W"] for layer in run], dtype=float))
+        layer_b.extend(np.array([layer["b"] for layer in run], dtype=float))
     return StandardNet(
         input_dim=int(doc["input_dim"]),
-        layer_w=tuple(np.asarray(layer["W"], dtype=float) for layer in layers),
-        layer_b=tuple(np.asarray(layer["b"], dtype=float) for layer in layers),
+        layer_w=tuple(layer_w),
+        layer_b=tuple(layer_b),
         out_w=np.asarray(out["w"], dtype=float),
         out_b=float(out["b"]),
         domain=_box_from(doc["domain"]),

@@ -4,12 +4,17 @@ import functools
 import json
 import math
 import operator
+import pickle
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relu_forge import (
     Box,
@@ -28,6 +33,7 @@ from relu_forge import (
     build_multiply,
     build_polynomial,
     build_square,
+    deserialize_net,
     eval_skip,
     eval_skip_batch,
     eval_standard,
@@ -127,6 +133,57 @@ def reference_interval_bounds(net: SkipNet, box: Box) -> nets.IntervalReport:
     return nets.IntervalReport(
         tuple(pre_lo), tuple(pre_hi), tuple(post_lo), tuple(post_hi), olo, ohi, tuple(term_lo)
     )
+
+
+def reference_schedule(d: int, units: list, outs: list, out_bias: float, budget: int):
+    """Per-unit reference scheduler, with a closure per placement and
+    dict-keyed levels: ``nets._schedule`` must make the same program."""
+    # one read per distinct live unit that reads a value and per output term;
+    # a value with no read is dead
+    reads = [0] * (d + len(units))
+    for v, _ in outs:
+        reads[v] += 1
+    for v in range(len(reads) - 1, d - 1, -1):
+        for o in set(units[v - d][1]) if reads[v] else ():
+            reads[o] += 1
+    # A chain starts at a unit that reads no computed unit and takes in the
+    # units that read it; chains run one after the other, each level by level.
+    # A bias-only unit goes just before its first reader.
+    level, chain = {}, {}
+    for v in range(d, len(reads)):
+        ops = units[v - d][1]
+        if reads[v] and ops:
+            deps = [o for o in ops if o in level]
+            level[v] = 1 + max((level[o] for o in deps), default=0)
+            chain[v] = max((chain[o] for o in deps), default=v)
+    row, free, body, program, top, j = list(range(d)) + [None] * len(units), [], [], [], d, 0
+
+    def release(values):  # one read each; a value read for the last time frees its row
+        for o in values:
+            reads[o] -= 1
+        free.extend(row[o] for o in dict.fromkeys(values) if o >= d and not reads[o])
+
+    def place(*values):  # not recursive, so no reference cycle keeps the locals
+        nonlocal top
+        for u in values:
+            if row[u] is None:  # a unit takes its row before its operands free theirs
+                c, ops, xs = units[u - d]
+                row[u], top = (free.pop(), top) if free else (top, top + 1)
+                release(dict.fromkeys(ops))
+                body.append((row[u], c, tuple(zip([row[o] for o in ops], xs))))
+
+    for v in [None, *sorted(level, key=lambda v: (chain[v], level[v], v))]:
+        if v is not None:
+            place(*units[v - d][1], v)
+        i = j  # each output term goes in once it and every earlier one can
+        while j < len(outs) and (row[outs[j][0]] is not None or outs[j][0] not in level):
+            place(outs[j][0])
+            j += 1
+        if j > i:
+            release([o for o, _ in outs[i:j]])
+            program.append((tuple(body), tuple((row[o], x) for o, x in outs[i:j])))
+            body.clear()
+    return nets._Program(d, top, out_bias, None, tuple(program), budget)
 
 
 def square_interpolant(x: float, L: int) -> float:
@@ -1082,3 +1139,95 @@ class TestPasses:
         net = self.NETS[kind](rng)
         out, steps = self.run_passes(net, np.zeros((0, net.input_dim)), monkeypatch)
         assert out.shape == (0,) and steps == []
+
+
+def sparse_shallow(d, units, rng, activation) -> ShallowNet:
+    """Shallow net whose weights mix +-1, signed zeros and others, so that
+    some units repeat and some read nothing."""
+    values = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -2.0])
+    pick = lambda *shape: rng.choice(values, shape)
+    return ShallowNet(
+        d, pick(units, d), pick(units), pick(units), float(pick(1)[0]), activation,
+        Box.symmetric(d),
+    )
+
+
+@st.composite
+def numbered_units(draw):
+    """(d, units, output terms) as numbering makes them: each unit reads
+    smaller ids, an operand may repeat, and a unit may read nothing or go
+    unread."""
+    d = draw(st.integers(1, 3))
+    units = []
+    for v in range(d, d + draw(st.integers(0, 12))):
+        ops = tuple(draw(st.lists(st.integers(0, v - 1), max_size=3)))
+        units.append((draw(st.sampled_from([0.0, -0.0, 0.5])), ops, (1.0, -2.0, 0.5)[: len(ops)]))
+    weight = st.sampled_from([1.0, -1.0, 0.0, 0.25])
+    outs = draw(st.lists(st.tuples(st.integers(0, d + len(units) - 1), weight), max_size=8))
+    return d, units, outs
+
+
+@settings(max_examples=300, deadline=None)
+@given(numbered_units())
+# a stage's output terms free their rows in first-read order once all are
+# taken: here rows 1, 2, 3, so unit 4 takes row 3
+@example((1, [(0.5, (0,), (1.0,)), (0.5, (), ()), (0.0, (), ()), (0.5, (0,), (1.0,))],
+          [(1, 1.0), (2, 1.0), (3, 1.0), (2, 1.0), (4, 1.0)]))
+def test_schedule_places_any_numbered_units_as_the_reference_does(program):
+    d, units, outs = program
+    got = nets._schedule(d, units, outs, -0.0, d + 3)
+    assert pickle.dumps(got) == pickle.dumps(reference_schedule(d, units, outs, -0.0, d + 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    depth=st.integers(1, 6),
+    width=st.integers(1, 5),
+    activation=st.sampled_from([nets.RELU_ACTIVATION, nets.SIGMOIDAL_ACTIVATION]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schedule_makes_the_reference_program(d, depth, width, activation, seed):
+    rng = np.random.default_rng(seed)
+    skip = sparse_skip(d, depth, width, rng)
+    for net in (
+        skip,
+        skip_to_standard(skip),
+        sparse_shallow(d, depth * width, rng, activation),
+        make_random_shallow(d, width, rng, activation),
+    ):
+        got = pickle.dumps(nets._program(net))
+        with mock.patch.object(nets, "_schedule", reference_schedule):
+            want = pickle.dumps(nets._program(replace(net)))
+        assert got == want
+
+
+def test_analysis_from_layer_zero_shares_repeated_layers_bit_for_bit():
+    # a deserialized net keeps no ranges, so its analysis starts at layer 0,
+    # and the summed chains repeat (row, incoming ranges) pairs
+    built = build_analytic(preset_series("runge")[0], 1e-6, 0.25).net
+    net, _ = deserialize_net(serialize_net(built))
+    got, want = interval_bounds(net, net.domain), reference_interval_bounds(net, net.domain)
+    for name in ("pre_lo", "pre_hi", "post_lo", "post_hi"):
+        arrays = getattr(got, name)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in getattr(want, name)], name
+        assert not any(a.flags.writeable for a in arrays), name
+    assert [v.hex() for v in got.term_lo] == [v.hex() for v in want.term_lo]
+    assert (got.out_lo.hex(), got.out_hi.hex()) == (want.out_lo.hex(), want.out_hi.hex())
+    assert len({id(a) for a in got.pre_lo}) < net.depth // 2  # repeats share their arrays
+
+
+def test_standard_blocks_are_stacked_once_and_read_only():
+    net = skip_to_standard(build_monomial([1, 2, 3], 3, 3)[0])
+    assert validate(net) == []
+    blocks = vars(net)["_blocks"]
+    serialize_net(net)
+    nets._program(net)
+    assert nets._blocks(net) is blocks  # the writer and compile reuse validate's stacking
+    assert [layer for layers, _, _ in blocks for layer in layers] == list(range(1, net.depth + 1))
+    for layers, W, b in blocks:
+        assert not W.flags.writeable and not b.flags.writeable
+        assert W.tobytes() == np.array([net.layer_w[l - 1] for l in layers]).tobytes()
+        assert b.tobytes() == np.array([net.layer_b[l - 1] for l in layers]).tobytes()
+        assert W.shape == (len(layers), *net.layer_w[layers[0] - 1].shape)
+    assert "_blocks" not in vars(replace(net))

@@ -24,6 +24,7 @@ from relu_forge import (
     sigmoidal_to_relu,
     skip_to_standard,
     validate,
+    wide_to_deep,
 )
 from relu_forge import serialize
 from relu_forge.serialize import from_document, to_document
@@ -289,3 +290,44 @@ class TestRejection:
     def test_unsupported_type_has_no_document(self):
         with pytest.raises(DocumentInvariantError, match="cannot serialize type object"):
             to_document(object())
+
+
+class TestStandardReader:
+    """The standard reader fills each run of equal-shaped layers at once."""
+
+    @staticmethod
+    def two_shapes():
+        # with d = 2 and three units per layer, layer 1 is (6, 2) and the rest (6, 6)
+        shallow = make_random_shallow(2, 9, np.random.default_rng(25))
+        return wide_to_deep(shallow, [3, 3, 3])
+
+    def test_declared_depth_must_match_the_stored_layers(self):
+        doc = to_document(skip_to_standard(build_square(3)[0]))
+        doc["depth"] = 99
+        with pytest.raises(
+            DocumentInvariantError, match="declared depth 99 inconsistent with 3 stored layers"
+        ):
+            from_document(doc)
+
+    def test_layers_of_two_shapes_round_trip_bit_for_bit(self):
+        net = self.two_shapes()
+        assert [W.shape for W in net.layer_w] == [(6, 2), (6, 6), (6, 6)]
+        back, _ = deserialize_net(serialize_net(net))
+        assert net_bits(back) == net_bits(net)
+        assert all(not a.flags.writeable for a in (*back.layer_w, *back.layer_b))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda layers: layers[1]["W"][2].append(0.5),  # a row one weight longer
+            lambda layers: layers[2]["W"][0].pop(),  # a row one weight shorter
+            lambda layers: layers[1]["b"].pop(),  # a layer with fewer biases than rows
+            lambda layers: layers[2]["W"].pop(),  # a layer with fewer rows than biases
+        ],
+        ids=["long row", "short row", "short bias", "short weights"],
+    )
+    def test_ragged_rows_and_layers_rejected(self, edit):
+        doc = to_document(self.two_shapes())
+        edit(doc["layers"])
+        with pytest.raises(DocumentInvariantError):
+            from_document(doc)
