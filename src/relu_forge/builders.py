@@ -27,7 +27,8 @@ floating-point rounding; only evaluation does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -321,7 +322,26 @@ def _lifted_clamp(input_dim: int) -> SkipNet:
     return _reading(clamp, [0], input_dim + 1)
 
 
-def _compose_grow(outer: SkipNet, inner: SkipNet) -> SkipNet:
+_CHAIN_SHIFTS = (4.0, 2.0)  # (partial, carry), declared on the chains composed onto
+
+
+def _proven_chain_error(n: int, L: int) -> Fraction:
+    """Bound e_n on |v - P|, v an unclamped chain of n factors, P its product.
+
+    On [-1, 1] the square block S interpolates t**2 at spacing h = 2**(1-L):
+    S - t**2 is in [0, 4**-L] and S' in [2t - h, 2t + h]. For 1 < |t| < 2,
+    S(t) is |t| at L = 1, else 1.5|t| - 0.5. So a stage
+    m(u, x) = 2 S((u+x)/2) - S(u)/2 - S(x)/2 errs by -4**-L .. 2 4**-L at
+    |u|, |x| <= 1, and its slope in u, S'((u+x)/2) - S'(u)/2, is x +- 3h/2
+    there and at most 5/4 in size for 1 < |u| < 2. While e_(n-1) < 1,
+    e_n <= 2 4**-L + K e_(n-1), K = max(5/4, 1 + 3 2**-L), from e_1 = 0:
+    e_n <= 2 4**-L (K**(n-1) - 1) / (K - 1).
+    """
+    K = max(Fraction(5, 4), 1 + Fraction(3, 2**L))
+    return Fraction(2, 4**L) * (K ** (n - 1) - 1) / (K - 1)
+
+
+def _compose_grow(outer: SkipNet, inner: SkipNet, declare: bool) -> SkipNet:
     """Compose, widening the chain by one unit when threading needs room.
 
     Chains up to three factors fit width 3. Longer chains occupy the spare
@@ -330,12 +350,28 @@ def _compose_grow(outer: SkipNet, inner: SkipNet) -> SkipNet:
     factor on; composition then alternates the freed channels and the width
     stays put. One retry is enough: a padded unit has no weights and no
     output coefficient, so one more unit of width always frees a channel.
+
+    ``declare`` hands over the inner net with ``_CHAIN_SHIFTS``, so its
+    running output partial is shifted by 4 and its value by 2. That is
+    sound for a clamp, whose value is in [-1, 1] and whose partial is not
+    threaded, and for a product chain within e < 1 of its product: its head
+    is zero and its terms are its last stage's square blocks, weighted 2,
+    -1/2 and -1/2, reading (u+x)/2, u and x with |u| <= 1 + e < 2. A block's
+    running partial is in [0, |t|] for |t| <= 1 and in [0, 2.5) for
+    |t| < 2, so the chain's stays above -2.5/2 - 1/2 > -4, and its value
+    in (-2, 2). A clamped chain's stages read |u| <= 1; an unclamped one is
+    declared while ``_proven_chain_error`` of the chain built is below 1.
     """
+    def declared(width):
+        f1 = replace(pad_width(inner, width))
+        object.__setattr__(f1, "chain_shifts", _CHAIN_SHIFTS if declare else None)
+        return f1
+
     target = max(3, inner.width)
     try:
-        return compose(pad_width(outer, target - 1), pad_width(inner, target))
+        return compose(pad_width(outer, target - 1), declared(target))
     except NoFreeChannelError:
-        return compose(pad_width(outer, target), pad_width(inner, target + 1))
+        return compose(pad_width(outer, target), declared(target + 1))
 
 
 def _monomial_chain(indices, L: int, d: int, clamp: bool, chains: dict) -> SkipNet:
@@ -353,10 +389,11 @@ def _monomial_chain(indices, L: int, d: int, clamp: bool, chains: dict) -> SkipN
         start = 2
     else:
         net = chains[key[:start]]
-    for factor in key[start:]:
+    for n, factor in enumerate(key[start:], start + 1):
         if clamp:
-            net = _compose_grow(_lifted_clamp(d), net)
-        net = _compose_grow(_lifted_multiply(L, d, factor), net)
+            net = _compose_grow(_lifted_clamp(d), net, declare=True)
+        declare = clamp or _proven_chain_error(n, L) < 1
+        net = _compose_grow(_lifted_multiply(L, d, factor), net, declare)
     chains[key] = net
     return net
 

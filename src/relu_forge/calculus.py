@@ -7,18 +7,17 @@ into deep ones, and rewriting of bounded-ramp activations into ReLU pairs.
 A scaled sum of any number of operands stacks in one step, ``_sum``.
 
 Signed values that must survive a ReLU layer untouched are stored with a
-positivity shift: a channel holds ``v + c`` with ``c`` picked from interval
-analysis so the ReLU argument stays nonnegative over the domain box, and
-every consumer subtracts ``c`` through its bias. All shift constants are
-recorded on the result's ``shifts`` metadata.
+positivity shift: a channel holds ``v + c`` with ``c`` large enough that
+the ReLU argument stays nonnegative over the domain box, and every consumer
+subtracts ``c`` through its bias. All shift constants are recorded on the
+result's ``shifts`` metadata.
 
-Ranges have one source: ``nets.interval_bounds``, whose ``term_lo`` bounds
-each hidden layer's output term, and ``nets._affine_range`` for the output
-head over the box. ``compose`` copies the inner net's layers up to its
-first one with output coefficients unchanged, so its result keeps their
-ranges over the domain, and analyzing it resumes after them: along a
-product chain each compose analyzes only the last two stages' layers.
-Any other rewrite builds a net without kept ranges. Shifts have one rule,
+Shifts have two sources. A builder that composes onto a product chain
+declares the chain's two shifts, ``SkipNet.chain_shifts``, from bounds it
+proves (``builders._compose_grow``), and ``compose`` takes them with no
+analysis. Every other shift comes from ranges: ``nets.interval_bounds``,
+whose ``term_lo`` bounds each hidden layer's output term, and
+``nets._affine_range`` for the output head over the box, under one rule,
 ``_shift``: a value with lower bound ``lo`` is shifted by ``max(0, -lo)``.
 ``_shifts`` applies it to running partials, each the sum of its terms taken
 in order.
@@ -50,7 +49,6 @@ from .nets import (
     SkipNet,
     StandardNet,
     _affine_range,
-    _keep_ranges,
     affine_net,
     interval_bounds,
 )
@@ -289,12 +287,16 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
                 "output; pad_width it one unit wider"
             )
 
-    rep = interval_bounds(f1, f1.domain)
     # acc_shift[k] shifts f1's output partial over layers 0 .. first+k-1; the
     # terms before layer ``first`` are zeros, so the partial starts from +0.0
     # there. carry_shift shifts the whole of f1(x): the head, then every term.
-    acc_shift = _shifts(0.0, [0.0, *rep.term_lo[first:-1]])
-    carry_shift = _shift(_head_lo(f1) + np.cumsum(rep.term_lo)[-1:])[0]
+    if f1.chain_shifts is not None:
+        partial, carry_shift = f1.chain_shifts
+        acc_shift = [0.0] + [partial] * (L1 - 1 - first)
+    else:
+        rep = interval_bounds(f1, f1.domain)
+        acc_shift = _shifts(0.0, [0.0, *rep.term_lo[first:-1]])
+        carry_shift = _shift(_head_lo(f1) + np.cumsum(rep.term_lo)[-1:])[0]
 
     # Coefficients expressing f1(x) over (last layer of f1, x, constant).
     e_coeffs = f1.out_beta[-1].copy() if support.size else np.zeros(W)
@@ -342,7 +344,7 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
     ay = float(f2.out_a[0])
     if ay != 0.0:
         out_beta[L1 + L2 - 1, M] = ay
-    net = SkipNet(
+    return SkipNet(
         input_dim=d,
         first_w=f1.first_w,
         first_b=f1.first_b,
@@ -355,8 +357,6 @@ def compose(f2: SkipNet, f1: SkipNet) -> SkipNet:
         domain=f1.domain,
         shifts=f1.shifts + f2.shifts + tuple(new_shifts),
     )
-    # layers 0 .. first are f1's own, so the next compose resumes after them
-    return _keep_ranges(net, rep, first + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,13 @@ thread count, and zero-weight padding changes no bit.
 
 A standard net stacks its layers into blocks of equal shapes once, on first
 use, and validation, the document writer and compilation share them.
-Interval range analysis of a skip net from layer 0 propagates each distinct
-(layer row, incoming ranges) pair once, bit for bit: a summed net repeats
-each monomial's chain prefix, so a deep net has few distinct pairs.
+Interval range analysis of a skip net propagates each distinct (layer row,
+incoming ranges) pair once, bit for bit: a summed net repeats each
+monomial's chain prefix, so a deep net has few distinct pairs.
 
-All types are immutable after construction (the kept program and blocks,
-and the ranges a compose result keeps for ``interval_bounds``, are derived
-from the fields and change no value) and all functions here are pure, so
-values can be shared freely across threads.
+All types are immutable after construction (the kept program and blocks are
+derived from the fields and change no value) and all functions here are
+pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -169,6 +168,10 @@ class SkipNet:
     width 0, ``first_w`` (0, input_dim), ``first_b`` (0,) and stacked arrays
     with no layers. ``shifts`` records positivity offsets introduced by
     structural rewrites; it does not affect evaluation.
+
+    ``chain_shifts`` is not a constructor argument: a builder sets it to the
+    ``(partial, carry)`` shifts ``compose`` takes for an inner net in place
+    of range analysis. Every rewrite, ``dataclasses.replace`` too, drops it.
     """
 
     input_dim: int
@@ -182,6 +185,7 @@ class SkipNet:
     out_beta: np.ndarray
     domain: Box
     shifts: tuple = field(default=())
+    chain_shifts: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "first_w", _frozen(self.first_w))
@@ -788,92 +792,60 @@ def _affine_range(W, b, lo, hi):
     return b + pos @ lo + neg @ hi, b + pos @ hi + neg @ lo
 
 
-def _same_box(a: Box, b: Box) -> bool:
-    """Whether two boxes have the same endpoint bits."""
-    return a.lo.tobytes() == b.lo.tobytes() and a.hi.tobytes() == b.hi.tobytes()
-
-
-def _keep_ranges(net: SkipNet, rep: IntervalReport, layers: int) -> SkipNet:
-    """``net``, keeping its first ``layers`` layers' ranges from ``rep``, an
-    analysis over its domain of a net whose first layers ``net`` copies, so
-    that ``interval_bounds`` resumes after them. Like the program, they live
-    in the instance ``__dict__``, so a net that a rewrite builds anew starts
-    without them."""
-    kept = (rep.pre_lo, rep.pre_hi, rep.post_lo, rep.post_hi)
-    vars(net)["_ranges"] = tuple(r[:layers] for r in kept)
-    return net
-
-
 def interval_bounds(net, box: Box) -> IntervalReport:
     """Propagate the box through the net, layer by layer.
 
     The returned intervals are supersets of the true ranges (standard
     interval arithmetic, no correlation tracking). A layer's ranges depend
     only on the bits of its row (bias, input and previous-layer weights), of
-    the ranges it reads and of the box. So a skip net that ``_keep_ranges``
-    gave the ranges of its first layers over its domain resumes after them
-    when ``box`` is that domain, bit for bit, and an analysis from layer 0
-    propagates each distinct (row, incoming ranges) pair once: a summed net
-    repeats each monomial's chain prefix, and a repeat shares the arrays of
-    the layer it repeats. A skip net's range arrays are read-only.
+    the ranges it reads and of the box, so the analysis of a skip net
+    propagates each distinct (row, incoming ranges) pair once, bit for bit:
+    a summed net repeats each monomial's chain prefix, and a repeat shares
+    the arrays of the layer it repeats. A skip net's range arrays are
+    read-only.
     """
     if box.dim != net.input_dim:
         raise InputError(f"box dimension {box.dim} != input_dim {net.input_dim}")
-    pre_lo, pre_hi, post_lo, post_hi, term_lo, term_hi = [], [], [], [], [], []
+    layers, term_lo, term_hi = [], [], []  # (pre_lo, pre_hi, post_lo, post_hi) per layer
     if isinstance(net, SkipNet):
         if net.depth > 0:
-            if _same_box(box, net.domain) and "_ranges" in vars(net):
-                pre_lo, pre_hi, post_lo, post_hi = (list(r) for r in vars(net)["_ranges"])
-            # the input part of every hidden layer from the first one analyzed
-            # (layer 1 at the earliest) at once, and the sign split of
-            # hidden_wy in blocks of layers of at most _BLOCK floats; bias 0.0
-            # and adding the y part keep the bits
-            start = max(len(pre_lo), 1)
-            xlo, xhi = _affine_range(net.hidden_wx[start - 1 :], 0.0, box.lo, box.hi)
+            # the input part of every hidden layer at once, and the sign split
+            # of hidden_wy in blocks of layers of at most _BLOCK floats; bias
+            # 0.0 and adding the y part keep the bits
+            xlo, xhi = _affine_range(net.hidden_wx, 0.0, box.lo, box.hi)
             step = max(1, _BLOCK // net.width**2)
-            # An analysis from layer 0 memoizes each layer's ranges by the bits
-            # of its row and of the ranges it reads. A resumed one, as compose
-            # runs, rarely meets a layer twice and skips the keys.
-            memo = None if pre_lo else {}
-            if memo is not None:
-                rows = np.concatenate(
-                    [net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2
-                )
-                k = rows.shape[1] * rows.shape[2]
-                keys = rows.reshape(-1, k).view(np.dtype((np.void, 8 * k))).ravel().tolist()
-            analyzed = []  # (pre_lo, pre_hi, post_lo, post_hi) of each layer analyzed
-            ylo, yhi = (post_lo[-1], post_hi[-1]) if post_lo else (None, None)
-            for l in range(len(pre_lo), net.depth):
+            # each layer's ranges, memoized by the bits of its row and of the
+            # ranges it reads
+            rows = np.concatenate([net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2)
+            k = rows.shape[1] * rows.shape[2]
+            keys = rows.reshape(-1, k).view(np.dtype((np.void, 8 * k))).ravel().tolist()
+            memo = {}
+            for l in range(net.depth):
                 if l == 0:
                     lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
                 else:
-                    i = (l - start) % step
+                    i = (l - 1) % step
                     if i == 0:
                         wy = net.hidden_wy[l - 1 : l - 1 + step]
                         pos, neg = np.clip(wy, 0.0, None), np.clip(wy, None, 0.0)
-                    if memo is not None:
-                        key = keys[l - 1], seen
-                        hit = memo.get(key)
-                        if hit is not None:
-                            ranges, seen = hit
-                            analyzed.append(ranges)
-                            _, _, ylo, yhi = ranges
-                            continue
+                    key = keys[l - 1], seen
+                    hit = memo.get(key)
+                    if hit is not None:
+                        ranges, seen = hit
+                        layers.append(ranges)
+                        ylo, yhi = ranges[2:]
+                        continue
                     p, n, b = pos[i], neg[i], net.hidden_b[l - 1]
-                    lo = xlo[l - start] + (b + p @ ylo + n @ yhi)
-                    hi = xhi[l - start] + (b + p @ yhi + n @ ylo)
+                    lo = xlo[l - 1] + (b + p @ ylo + n @ yhi)
+                    hi = xhi[l - 1] + (b + p @ yhi + n @ ylo)
                 ylo, yhi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-                ranges = lo, hi, ylo, yhi
-                for a in ranges:
+                layers.append((lo, hi, ylo, yhi))
+                for a in layers[-1]:
                     a.setflags(write=False)
-                analyzed.append(ranges)
-                if memo is not None:
-                    seen = ylo.tobytes() + yhi.tobytes()
-                    if l:
-                        memo[key] = ranges, seen
-            for r, new in zip((pre_lo, pre_hi, post_lo, post_hi), zip(*analyzed)):
-                r.extend(new)
-            ys = np.array(post_lo)[..., None], np.array(post_hi)[..., None]
+                seen = ylo.tobytes() + yhi.tobytes()
+                if l:
+                    memo[key] = layers[-1], seen
+            ys = (np.array([r[j] for r in layers])[..., None] for j in (2, 3))
             tlo, thi = _affine_range(net.out_beta[:, None], 0.0, *ys)
             term_lo, term_hi = tlo.ravel().tolist(), thi.ravel().tolist()
         olo, ohi = _affine_range(net.out_a.reshape(1, -1), np.array([net.out_a0]), box.lo, box.hi)
@@ -881,24 +853,14 @@ def interval_bounds(net, box: Box) -> IntervalReport:
         olo = float(np.cumsum([olo[0], *term_lo])[-1])
         ohi = float(np.cumsum([ohi[0], *term_hi])[-1])
     elif isinstance(net, StandardNet):
-        lo_in, hi_in = box.lo, box.hi
+        ylo, yhi = box.lo, box.hi
         for W, b in zip(net.layer_w, net.layer_b):
-            lo, hi = _affine_range(W, b, lo_in, hi_in)
-            pre_lo.append(lo)
-            pre_hi.append(hi)
-            lo_in, hi_in = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-            post_lo.append(lo_in)
-            post_hi.append(hi_in)
-        olo, ohi = _affine_range(net.out_w.reshape(1, -1), np.array([net.out_b]), lo_in, hi_in)
+            lo, hi = _affine_range(W, b, ylo, yhi)
+            ylo, yhi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+            layers.append((lo, hi, ylo, yhi))
+        olo, ohi = _affine_range(net.out_w.reshape(1, -1), np.array([net.out_b]), ylo, yhi)
         olo, ohi = float(olo[0]), float(ohi[0])
     else:
         raise StructuralError(f"interval analysis unsupported for {type(net).__name__}")
-    return IntervalReport(
-        pre_lo=tuple(pre_lo),
-        pre_hi=tuple(pre_hi),
-        post_lo=tuple(post_lo),
-        post_hi=tuple(post_hi),
-        out_lo=olo,
-        out_hi=ohi,
-        term_lo=tuple(term_lo),
-    )
+    pre_lo, pre_hi, post_lo, post_hi = zip(*layers) if layers else ((),) * 4
+    return IntervalReport(pre_lo, pre_hi, post_lo, post_hi, olo, ohi, tuple(term_lo))

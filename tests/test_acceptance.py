@@ -7,6 +7,7 @@ calibrated at runtime.
 
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -232,7 +233,6 @@ def test_criterion_9_statistical_rate_excluded():
     _report(9, "statistical approximation rate excluded (needs fitting); covered by 6..8")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: interval shifts swamp the float bits")
 @pytest.mark.parametrize("eps", [1e-9, 1e-10])
 def test_runge_certificate_holds_at_deep_eps(eps):
     """The runge certificate must hold for the floats the evaluator computes."""
@@ -250,10 +250,9 @@ def _deep_eps_report(name, eps, clamp=False):
     return sup_error(result.net, lambda X: ref(X[:, 0]), cert.box, Uniform(2001), certificate=cert)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: interval shifts swamp the float bits")
 @pytest.mark.parametrize("eps", [1e-9, 1e-10])
 def test_clamped_runge_certificate_holds_at_deep_eps(eps):
-    """Clamping widens the shifts, so the clamped runge net misses by more."""
+    """The clamped runge net keeps its certificate at depth as well."""
     rep = _deep_eps_report("runge", eps, clamp=True)
     assert rep.within_bound, f"measured {rep.measured!r} is {rep.ratio:.1f}x the bound"
 
@@ -264,3 +263,38 @@ def test_exp_and_sin_certificates_hold_at_deep_eps(name, eps):
     """These hold with today's shifts; a new source of ranges must keep them."""
     rep = _deep_eps_report(name, eps)
     assert rep.within_bound, f"measured {rep.measured!r} is {rep.ratio:.1f}x the bound"
+
+
+@lru_cache(maxsize=None)
+def _grid_build(name, eps, clamp):
+    return build_analytic(preset_series(name)[0], eps, 0.25, clamp=clamp)
+
+
+_STANDARD_MISSES = {("runge", 1e-12, False), ("runge", 1e-8, True), ("runge", 1e-10, True),
+                    ("runge", 1e-12, True)}
+
+
+def _grid_cases():
+    for name in ("exp", "sin", "runge"):
+        for eps in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+            for clamp in (False, True):
+                for form in ("skip", "standard"):
+                    marks = []
+                    if form == "standard" and (name, eps, clamp) in _STANDARD_MISSES:
+                        marks = [pytest.mark.xfail(
+                            strict=True,
+                            reason="ROADMAP item 1, slice 2: the standard form's interval "
+                            "accumulator shifts swamp the float bits",
+                        )]
+                    yield pytest.param(name, eps, clamp, form, marks=marks,
+                                       id=f"{name}-{eps:g}-clamp={clamp}-{form}")
+
+
+@pytest.mark.parametrize("name, eps, clamp, form", _grid_cases())
+def test_soundness_grid(name, eps, clamp, form):
+    """Every analytic certificate holds for the floats of its skip and standard forms."""
+    result = _grid_build(name, eps, clamp)
+    net = result.net if form == "skip" else skip_to_standard(result.net)
+    ref, cert = preset_series(name)[1], result.certificate
+    rep = sup_error(net, lambda X: ref(X[:, 0]), cert.box, Uniform(2001), certificate=cert)
+    assert rep.within_bound, f"measured {rep.measured!r} is {rep.ratio:.3g}x the bound"

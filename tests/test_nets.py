@@ -1203,8 +1203,7 @@ def test_schedule_makes_the_reference_program(d, depth, width, activation, seed)
 
 
 def test_analysis_from_layer_zero_shares_repeated_layers_bit_for_bit():
-    # a deserialized net keeps no ranges, so its analysis starts at layer 0,
-    # and the summed chains repeat (row, incoming ranges) pairs
+    # the summed chains repeat (row, incoming ranges) pairs
     built = build_analytic(preset_series("runge")[0], 1e-6, 0.25).net
     net, _ = deserialize_net(serialize_net(built))
     got, want = interval_bounds(net, net.domain), reference_interval_bounds(net, net.domain)
