@@ -33,15 +33,16 @@ whose rows alone pass the cap is not split further. Every sum is formed in
 declaration order, so the output is bit-identical for every pass size and
 thread count, and zero-weight padding changes no bit.
 
-A standard net stacks its layers into blocks of equal shapes once, on first
-use, and validation, the document writer and compilation share them.
+A standard net stacks its layers into blocks of equal shapes once, when it
+is made, and its layer tuples are views into them; validation, the document
+writer and compilation read the blocks.
 Interval range analysis of a skip net propagates each distinct (layer row,
 incoming ranges) pair once, bit for bit: a summed net repeats each
 monomial's chain prefix, so a deep net has few distinct pairs.
 
-All types are immutable after construction (the kept program and blocks are
-derived from the fields and change no value) and all functions here are
-pure, so values can be shared freely across threads.
+All types are immutable after construction (the kept program is derived
+from the fields and changes no value) and all functions here are pure, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ __all__ = [
 
 RELU_ACTIVATION = "relu"
 SIGMOIDAL_ACTIVATION = "sigmoidal-step"
+_BLOCK = 1 << 14  # floats per block of layers, so that copies and temporaries stay small
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -85,10 +87,6 @@ def _frozen(a, dtype=float) -> np.ndarray:
     arr = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     arr.setflags(write=False)
     return arr
-
-
-def _frozen_tuple(seq) -> tuple:
-    return tuple(_frozen(a) for a in seq)
 
 
 def _stacked(name: str, layers, shape: tuple) -> np.ndarray:
@@ -234,8 +232,11 @@ class StandardNet:
 
     ``layer_w[l]`` has shape (width_l, width_{l-1}) with width_{-1} equal to
     the input dimension. The output is ``out_w . h_last + out_b``.
-    Contiguous float arrays passed in are frozen and shared; pass a copy to
-    keep editing one.
+    The constructor copies the layers into read-only blocks, one per run of
+    layers of equal shapes cut every _BLOCK floats, and ``layer_w`` and
+    ``layer_b`` are tuples of views into them, so the caller's layer arrays
+    stay writable and are not kept. A contiguous float ``out_w`` passed in is
+    frozen and shared; pass a copy to keep editing one.
     """
 
     input_dim: int
@@ -247,8 +248,25 @@ class StandardNet:
     shifts: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_w", _frozen_tuple(self.layer_w))
-        object.__setattr__(self, "layer_b", _frozen_tuple(self.layer_b))
+        if len(self.layer_w) != len(self.layer_b):
+            raise StructuralError(
+                f"layer_w holds {len(self.layer_w)} layers but layer_b holds {len(self.layer_b)}"
+            )
+        layers = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
+                  for W, b in zip(self.layer_w, self.layer_b)]
+
+        def block(lwb):
+            layer, (W, b) = lwb
+            return W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
+
+        blocks = []
+        for _, run in groupby(enumerate(layers, 1), key=block):
+            numbers, wbs = zip(*run)
+            W, b = (_frozen(np.array(a)) for a in zip(*wbs))  # np.stack's views cost more
+            blocks.append((numbers, W, b))
+        object.__setattr__(self, "_blocks", tuple(blocks))
+        object.__setattr__(self, "layer_w", tuple([W for _, Ws, _ in blocks for W in Ws]))
+        object.__setattr__(self, "layer_b", tuple([b for _, _, bs in blocks for b in bs]))
         object.__setattr__(self, "out_w", _frozen(self.out_w))
         object.__setattr__(self, "out_b", float(self.out_b))
         object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
@@ -450,30 +468,10 @@ def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> 
     return _Program(d, top, out_bias, None, tuple(program), budget)
 
 
-_BLOCK = 1 << 14  # floats per block of layers, so that copies and temporaries stay small
-
-
 def _blocks(net: StandardNet) -> tuple:
     """(layer numbers, stacked weights, stacked biases) per block of a
-    standard net: runs of layers of equal shapes, cut every _BLOCK floats.
-    The blocks are stacked on first use and kept read-only in the instance
-    ``__dict__``, as the program is, so validate, the writer and compile
-    share one stacking; a net built anew, by ``dataclasses.replace`` too,
-    starts without them."""
-    blocks = vars(net).get("_blocks")
-    if blocks is None:
-
-        def block(lwb):
-            layer, (W, b) = lwb
-            return W.shape, b.shape, layer * (W.size + b.size) // _BLOCK
-
-        blocks = []
-        for _, run in groupby(enumerate(zip(net.layer_w, net.layer_b), 1), key=block):
-            layers, wbs = zip(*run)
-            W, b = (_frozen(np.array(a)) for a in zip(*wbs))  # np.stack's views cost more
-            blocks.append((layers, W, b))
-        blocks = vars(net)["_blocks"] = tuple(blocks)
-    return blocks
+    standard net, as its constructor stacked them."""
+    return vars(net)["_blocks"]
 
 
 def _numbered(d: int, blocks, alias: bool = False) -> tuple:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import groupby
 
 import numpy as np
 
@@ -106,7 +105,8 @@ def _extras(net, certificate: BoundCertificate | None) -> dict:
 # The writer formats the stacked arrays with %r, which is repr(float): the
 # float format of json.dumps for finite values. validate proves them finite;
 # every other field goes through json.dumps, which writes Infinity, not inf.
-# A block of items is formatted at once, in the cut of nets._blocks.
+# A block of items is formatted at once: a standard net's blocks as its
+# constructor stacked them, every other stack in blocks of _BLOCK floats.
 
 
 def _list(item: str, count: int) -> str:
@@ -228,20 +228,10 @@ def _standard_from(doc: dict) -> StandardNet:
             f"declared depth {depth} inconsistent with {len(layers)} stored layers"
         )
     out = doc["output"]
-
-    def shape(layer):  # ragged rows fail np.array below, and a ragged layer validate
-        W = layer["W"]
-        return len(W), len(W[0]) if W else 0, len(layer["b"])
-
-    layer_w, layer_b = [], []
-    for _, run in groupby(layers, key=shape):  # one flat list per run of equal shapes
-        run = list(run)
-        layer_w.extend(np.array([layer["W"] for layer in run], dtype=float))
-        layer_b.extend(np.array([layer["b"] for layer in run], dtype=float))
     return StandardNet(
         input_dim=int(doc["input_dim"]),
-        layer_w=tuple(layer_w),
-        layer_b=tuple(layer_b),
+        layer_w=tuple([np.array(layer["W"], dtype=float) for layer in layers]),
+        layer_b=tuple([np.array(layer["b"], dtype=float) for layer in layers]),
         out_w=np.asarray(out["w"], dtype=float),
         out_b=float(out["b"]),
         domain=_box_from(doc["domain"]),

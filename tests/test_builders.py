@@ -32,7 +32,7 @@ from relu_forge import (
     theorem_depth,
     validate,
 )
-from relu_forge import builders
+from relu_forge import builders, calculus
 from relu_forge.serialize import to_document
 
 from conftest import net_bits
@@ -188,6 +188,28 @@ class TestBuildMonomial:
     def test_index_out_of_range(self):
         with pytest.raises(ParameterError):
             build_monomial([1, 4], 2, 3)
+
+    def test_chains_past_the_proven_error_keep_range_analysis(self, monkeypatch):
+        # the first unclamped chain that _proven_chain_error cannot bound
+        # below 1 takes its shifts from interval analysis; shorter ones declare
+        calls = analysis_calls(monkeypatch)
+        for n, L, analyzed in ((3, 1, True), (4, 2, False), (5, 2, True), (9, 3, False), (10, 3, True)):
+            calls.clear()
+            build_monomial([1] * n, L, 1)
+            assert (len(calls) > 0) == analyzed, (n, L)
+            assert (builders._proven_chain_error(n, L) >= 1) == analyzed, (n, L)
+
+
+def analysis_calls(monkeypatch) -> list:
+    """The nets that ``calculus.interval_bounds`` analyzes from now on."""
+    calls, analyze = [], calculus.interval_bounds
+
+    def spy(net, box):
+        calls.append(net)
+        return analyze(net, box)
+
+    monkeypatch.setattr(calculus, "interval_bounds", spy)
+    return calls
 
 
 EVEN_HEAD = PolySpec(1, {(q,): 1.0 for q in range(2, 13, 2)})
@@ -373,6 +395,15 @@ class TestBuildAnalytic:
                 certificate=res.certificate,
             )
             assert rep.measured <= res.certificate.bound
+
+    def test_preset_builds_run_no_range_analysis(self, monkeypatch):
+        calls = analysis_calls(monkeypatch)
+        for name in ("exp", "sin", "runge"):
+            series, _ = preset_series(name)
+            for eps in (1e-3, 1e-6, 1e-10):
+                for clamp in (False, True):
+                    build_analytic(series, eps, 0.25, clamp=clamp)
+                    assert calls == [], (name, eps, clamp)
 
 
 class TestTheoremDepth:

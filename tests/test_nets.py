@@ -725,6 +725,11 @@ class TestSkipNetStorage:
                 out_beta=np.zeros((3, 3)),
                 domain=Box.symmetric(2),
             )
+        # a standard net pairs each weight with a bias
+        weights = (np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)))
+        for w, b in ((1, 2), (3, 2)):
+            with pytest.raises(StructuralError, match=f"layer_w holds {w} layers but layer_b holds {b}"):
+                valid_standard(layer_w=weights[:w], layer_b=(np.zeros(2), np.zeros(1))[:b])
 
     def test_document_with_short_unit_rejected(self):
         doc = to_document(build_multiply(2)[0])
@@ -1229,4 +1234,19 @@ def test_standard_blocks_are_stacked_once_and_read_only():
         assert W.tobytes() == np.array([net.layer_w[l - 1] for l in layers]).tobytes()
         assert b.tobytes() == np.array([net.layer_b[l - 1] for l in layers]).tobytes()
         assert W.shape == (len(layers), *net.layer_w[layers[0] - 1].shape)
-    assert "_blocks" not in vars(replace(net))
+    # the layers are views of the blocks; a net made anew stacks blocks of its
+    # own from copies, and the caller's arrays stay writable
+    passed_w, passed_b = [W.copy() for W in net.layer_w], [b.copy() for b in net.layer_b]
+    for made in (net, replace(net), replace(net, layer_w=tuple(passed_w), layer_b=tuple(passed_b))):
+        made_blocks = vars(made)["_blocks"]
+        assert made is net or not any(
+            np.shares_memory(W, W2) for (_, W, _), (_, W2, _) in zip(made_blocks, blocks)
+        )
+        assert [(layers, W.tobytes(), b.tobytes()) for layers, W, b in made_blocks] == [
+            (layers, W.tobytes(), b.tobytes()) for layers, W, b in blocks
+        ]
+        for layers, W, b in made_blocks:
+            for l in layers:
+                for a, block in ((made.layer_w[l - 1], W), (made.layer_b[l - 1], b)):
+                    assert np.shares_memory(a, block) and not a.flags.writeable
+    assert all(a.flags.writeable for a in passed_w + passed_b)
