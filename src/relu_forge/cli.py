@@ -12,8 +12,8 @@ is the ``monomial:`` factor list, ``--coeffs`` the ``poly:`` spec, and a
 ``--dim`` other than the built net's input dimension is a usage error (only
 ``monomial`` builds nets wider than its factors need). Grid parallelism comes
 from ``--threads`` (default: all cores, overridable through the
-``RELU_FORGE_THREADS`` environment variable); results are identical for
-every thread count.
+``RELU_FORGE_THREADS`` environment variable); a count below 1 is a usage
+error, and results are identical for every thread count.
 """
 
 from __future__ import annotations
@@ -61,14 +61,21 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 
-def _default_threads() -> int:
-    env = os.environ.get("RELU_FORGE_THREADS")
-    if env:
+def _threads(flag) -> int:
+    """Evaluation threads: ``--threads``, else ``RELU_FORGE_THREADS``, else
+    all cores. A count below 1 from either source is a usage error."""
+    source, threads = "--threads", flag
+    if threads is None:
+        env = os.environ.get("RELU_FORGE_THREADS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            source, threads = "RELU_FORGE_THREADS", int(env)
         except ValueError:
             raise ParameterError(f"RELU_FORGE_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise ParameterError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _parse_floats(text: str) -> list:
@@ -423,12 +430,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        try:
-            args.threads = _default_threads()
-        except ReluForgeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+    try:
+        args.threads = _threads(args.threads)
+    except ReluForgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.handler(args)
     except DocumentError as exc:

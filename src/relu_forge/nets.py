@@ -25,11 +25,8 @@ program computes each distinct unit once, however often the net repeats it,
 and leaves out units that no output reads; in a standard net, a unit that
 passes a computed unit on unchanged (a carry, an accumulator that adds
 nothing) costs nothing. The first evaluation keeps the program on the net.
-One kernel runs it over the points in the fewest passes that fit, split
-evenly. A pass takes as many points as a register file of 2**19 floats
-holds, but no more than the program's budget allows at _CHUNK points, and
-no fewer than that budget scaled to min(n, _CHUNK) points, so a program
-whose rows alone pass the cap is not split further. Every sum is formed in
+One kernel runs it over the points in the fewest passes whose register
+file holds at most 2**19 floats, split evenly. Every sum is formed in
 declaration order, so the output is bit-identical for every pass size and
 thread count, and zero-weight padding changes no bit.
 
@@ -344,28 +341,21 @@ class ShallowNet:
 # unit takes the row its predecessor freed, in a stage of its own, unless its
 # direction is all zero: it then reads nothing and joins the previous stage on
 # a row of its own. Shared values stay live longer, so a numbered program
-# needs more rows; it takes fewer points per pass, so that its register file
-# is no larger than the inputs, two layers and the product row take at
-# _CHUNK points.
+# needs more rows, and it takes fewer points per pass.
 #
 # A pass costs one numpy call per term and per activation whatever its
 # size, and a deep net has tens of thousands of them, so _run takes the
-# fewest passes that fit and splits the points evenly over them. A pass
-# takes as many points as a register file of _REGISTER_FLOATS floats holds,
-# but no more than _Program.points, so the file stays within the budget at
-# _CHUNK points. Its floor is the budget scaled to min(n, _CHUNK) points: a
-# program whose rows at that size already pass _REGISTER_FLOATS is not cut
-# into more passes to fit the cap. So the register file holds at most
-# max(_REGISTER_FLOATS, budget * min(n, _CHUNK)) floats.
+# fewest passes whose register file, product row included, holds at most
+# _REGISTER_FLOATS floats (a pass of one point if its rows alone hold more),
+# and splits the points evenly over them.
 #
 # Sums run in that order with one rounding per multiply and per add, so no bit
-# depends on the chunk size or the thread count, and skipping zero weights
+# depends on the pass size or the thread count, and skipping zero weights
 # keeps padding neutral. A +-1 weight is a bare add or subtract, which rounds
 # the same; a shallow net keeps zero output terms (-0.0 + 0 * z is +0.0).
 
-_CHUNK = 1 << 16  # points per pass at a program's budget; verify's thread pool splits on it too
-# Floats a pass's register file may take above its floor. Passes up to the
-# budget alone run little faster, but lift a process's peak memory more.
+# Floats of a pass's register file. Larger passes run little faster, but
+# lift a process's peak memory more.
 _REGISTER_FLOATS = 1 << 19
 
 
@@ -375,12 +365,6 @@ class _Program(NamedTuple):
     out_bias: float
     ceiling: float | None  # clip after the ReLU: 1.0 for the sigmoidal step
     stages: tuple  # ((units, output terms), ...); a unit is (row, bias, terms)
-    budget: int  # floats per point, with the product row, of a pass of _CHUNK points
-
-    @property
-    def points(self) -> int:
-        """Points per kernel pass, given _CHUNK points or more."""
-        return max(1, _CHUNK * self.budget // (self.registers + 1))
 
     @property
     def units(self) -> int:
@@ -388,13 +372,12 @@ class _Program(NamedTuple):
         return sum(len(units) for units, _ in self.stages)
 
 
-def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> _Program:
+def _schedule(d: int, units: list, outs: list, out_bias: float) -> _Program:
     """Program of numbered units (value ids from d up, each reading only
     smaller ids; x_i is id i) and output terms (value id, weight) in order.
     It counts the reads of each value, then places the units in one pass:
     each takes a free row as it is placed, and a value's row is freed when
-    its count reaches zero. ``budget`` is the floats per point that a pass of
-    _CHUNK points may hold."""
+    its count reaches zero."""
     n = d + len(units)
     # one read per distinct live unit that reads a value and per output term;
     # a value with no read is dead
@@ -465,7 +448,7 @@ def _schedule(d: int, units: list, outs: list, out_bias: float, budget: int) -> 
                         if o >= d and not reads[o])
             program.append((tuple(body), tuple([(row[o], x) for o, x in terms])))
             body.clear()
-    return _Program(d, top, out_bias, None, tuple(program), budget)
+    return _Program(d, top, out_bias, None, tuple(program))
 
 
 def _blocks(net: StandardNet) -> tuple:
@@ -524,8 +507,8 @@ def _numbered(d: int, blocks, alias: bool = False) -> tuple:
 
 
 def _compile_skip(net: SkipNet) -> _Program:
-    d, w, depth = net.input_dim, net.width, net.depth
-    # w zero columns for a layer before the first: see the slot rule above _CHUNK
+    d, w = net.input_dim, net.width
+    # w zero columns for a layer before the first: see the slot rule under Evaluation
     first = np.concatenate([net.first_b[:, None], net.first_w, np.zeros((w, w))], axis=1)
     hidden = np.concatenate([net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2)
     units, layers = _numbered(d, [(True, first[None]), (True, hidden)])
@@ -533,9 +516,7 @@ def _compile_skip(net: SkipNet) -> _Program:
     weights = np.concatenate([net.out_a, net.out_beta.ravel()])
     nz = np.flatnonzero(weights)
     outs = list(zip([ids[i] for i in nz.tolist()], weights[nz].tolist()))
-    # a pass holds no more floats than the inputs, two layers of width w and
-    # the product row did unnumbered
-    return _schedule(d, units, outs, net.out_a0, d + min(depth, 2) * w + 1)
+    return _schedule(d, units, outs, net.out_a0)
 
 
 def _compile_standard(net: StandardNet) -> _Program:
@@ -544,8 +525,7 @@ def _compile_standard(net: StandardNet) -> _Program:
     units, layers = _numbered(d, blocks, alias=True)
     nz = np.flatnonzero(net.out_w)
     outs = list(zip([layers[-1][i] for i in nz.tolist()], net.out_w[nz].tolist()))
-    widest = max(net.widths, default=0)
-    return _schedule(d, units, outs, net.out_b, d + min(net.depth, 2) * widest + 1)
+    return _schedule(d, units, outs, net.out_b)
 
 
 def _compile_shallow(net: ShallowNet) -> _Program:
@@ -553,7 +533,7 @@ def _compile_shallow(net: ShallowNet) -> _Program:
     rows = np.concatenate([net.b[:, None], net.a], axis=1)
     units, (_, vals) = _numbered(d, [(False, rows[None])])
     outs = list(zip(vals, net.c.tolist()))  # zero weights too
-    prog = _schedule(d, units, outs, net.c0, d + 2)
+    prog = _schedule(d, units, outs, net.c0)
     return prog._replace(ceiling=1.0) if net.activation == SIGMOIDAL_ACTIVATION else prog
 
 
@@ -580,12 +560,10 @@ def _run(prog: _Program, X) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise InputError("evaluation points must be finite")
-    # the fewest passes of at most p points, split evenly; p fills a register
-    # file of _REGISTER_FLOATS floats within the program's budget, and is no
-    # less than the budget scaled to min(n, _CHUNK) points
+    # the fewest passes of at most p points, split evenly; p points fill a
+    # register file of _REGISTER_FLOATS floats, product row included
     n = len(X)
-    floor = max(1, prog.points * min(n, _CHUNK) // _CHUNK)
-    p = max(floor, min(prog.points, _REGISTER_FLOATS // (prog.registers + 1)))
+    p = max(1, _REGISTER_FLOATS // (prog.registers + 1))
     passes = -(-n // p)
     step = -(-n // passes) if passes else 1
     out, regs = np.empty(n), np.empty((prog.registers + 1, min(n, step)))

@@ -190,7 +190,7 @@ def _skip_from(doc: dict) -> SkipNet:
         raise DocumentInvariantError(
             f"declared depth {depth} inconsistent with {len(first) and 1 + len(hidden)} stored layers"
         )
-    if first and len(first) != width:
+    if len(first) != width:
         raise DocumentInvariantError(
             f"first layer stores {len(first)} units, declared width {width}"
         )

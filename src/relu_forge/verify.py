@@ -25,7 +25,7 @@ import numpy as np
 from .builders import BoundCertificate, theoretical_bound
 from .calculus import count_params
 from .errors import ParameterError, StructuralError
-from .nets import _CHUNK, Box, evaluate_batch
+from .nets import Box, evaluate_batch
 
 __all__ = [
     "Uniform",
@@ -118,6 +118,9 @@ def strategy_points(box: Box, strategy) -> np.ndarray:
         axes = [(2.0 * np.arange(k_lo, k_hi + 1, dtype=float) + 1.0) * scale for k_lo, k_hi in ks]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+_CHUNK = 1 << 16  # points per thread-pool task
 
 
 def _evaluate_threaded(net, X: np.ndarray, threads) -> np.ndarray:

@@ -16,6 +16,7 @@ from relu_forge import (
     Box,
     DyadicMidpoints,
     PolySpec,
+    SeriesSpec,
     Uniform,
     add,
     build_analytic,
@@ -297,4 +298,45 @@ def test_soundness_grid(name, eps, clamp, form):
     net = result.net if form == "skip" else skip_to_standard(result.net)
     ref, cert = preset_series(name)[1], result.certificate
     rep = sup_error(net, lambda X: ref(X[:, 0]), cert.box, Uniform(2001), certificate=cert)
+    assert rep.within_bound, f"measured {rep.measured!r} is {rep.ratio:.3g}x the bound"
+
+
+def _exp2():
+    """exp((x1 + x2) / 2); its degree-n coefficients sum to 1/n!, so the 1-d
+    exp tail bounds its tail."""
+    coeffs = {
+        (i, j): 1.0 / (2 ** (i + j) * math.factorial(i) * math.factorial(j))
+        for i in range(41)
+        for j in range(41 - i)
+    }
+    series = SeriesSpec(PolySpec(2, coeffs), tail_l1_bound=preset_series("exp")[0].tail_l1_bound)
+    return series, lambda X: np.exp((X[:, 0] + X[:, 1]) / 2)
+
+
+def _runge2():
+    """1 / (1 + (x1**2 + x2**2) / 4) = sum_j (-1/4)**j (x1**2 + x2**2)**j; its
+    degree-2j coefficients sum to 2**-j, so its tail beyond degree p is
+    sum_{j > p/2} (r**2 / 2)**j, r = 1 - delta."""
+    coeffs = {
+        (2 * a, 2 * b): (-0.25) ** (a + b) * math.comb(a + b, a)
+        for a in range(21)
+        for b in range(21 - a)
+    }
+
+    def tail(p, delta):
+        q = (1.0 - delta) ** 2 / 2.0
+        return q ** (p // 2 + 1) / (1.0 - q)
+
+    series = SeriesSpec(PolySpec(2, coeffs), tail_l1_bound=tail)
+    return series, lambda X: 1.0 / (1.0 + (X[:, 0] ** 2 + X[:, 1] ** 2) / 4.0)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("target", [_exp2, _runge2], ids=["exp2", "runge2"])
+def test_2d_analytic_certificate_holds(target, eps):
+    """A 2-d analytic certificate holds for the floats of its skip net."""
+    series, ref = target()
+    result = build_analytic(series, eps, 0.25)
+    cert = result.certificate
+    rep = sup_error(result.net, ref, cert.box, Uniform(65), certificate=cert, threads=2)
     assert rep.within_bound, f"measured {rep.measured!r} is {rep.ratio:.3g}x the bound"

@@ -426,6 +426,24 @@ class TestThreads:
         monkeypatch.setenv("RELU_FORGE_THREADS", "many")
         assert run(["eval", "-i", out, "--point", "0.5"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_flag_below_one_is_usage_error(self, threads, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        capsys.readouterr()
+        assert run(["--threads", threads, "eval", "-i", out, "--point", "0.5"]) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_env_var_below_one_is_usage_error(self, threads, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        run(["build", "square", "--depth", 2, "-o", out])
+        capsys.readouterr()
+        monkeypatch.setenv("RELU_FORGE_THREADS", threads)
+        assert run(["eval", "-i", out, "--point", "0.5"]) == 2
+        assert f"RELU_FORGE_THREADS must be at least 1, got {threads}" in capsys.readouterr().err
+        assert run(["--threads", "1", "eval", "-i", out, "--point", "0.5"]) == 0  # the flag wins
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

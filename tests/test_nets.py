@@ -135,7 +135,7 @@ def reference_interval_bounds(net: SkipNet, box: Box) -> nets.IntervalReport:
     )
 
 
-def reference_schedule(d: int, units: list, outs: list, out_bias: float, budget: int):
+def reference_schedule(d: int, units: list, outs: list, out_bias: float):
     """Per-unit reference scheduler, with a closure per placement and
     dict-keyed levels: ``nets._schedule`` must make the same program."""
     # one read per distinct live unit that reads a value and per output term;
@@ -183,7 +183,7 @@ def reference_schedule(d: int, units: list, outs: list, out_bias: float, budget:
             release([o for o, _ in outs[i:j]])
             program.append((tuple(body), tuple((row[o], x) for o, x in outs[i:j])))
             body.clear()
-    return nets._Program(d, top, out_bias, None, tuple(program), budget)
+    return nets._Program(d, top, out_bias, None, tuple(program))
 
 
 def square_interpolant(x: float, L: int) -> float:
@@ -774,7 +774,7 @@ class TestKernelMatchesReference:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(nets, "_CHUNK", 7)
+        monkeypatch.setattr(nets, "_REGISTER_FLOATS", 64)
 
     @staticmethod
     def assert_same_bytes(net, X):
@@ -961,23 +961,31 @@ class TestKernelMatchesReference:
 
     def test_standard_runge_shares_its_chain_within_the_register_budget(self, rng, monkeypatch):
         std = skip_to_standard(build_analytic(preset_series("runge")[0], 1e-6, 0.25).net)
-        prog = nets._program(std)
         assert program_units(std) <= 1300  # of 8424 in the net
-        # the inputs, two layers of the widest width and the product row, at _CHUNK points
-        floats = std.input_dim + 2 * max(std.widths) + 1
-        for chunk in (7, 1 << 16):
-            monkeypatch.setattr(nets, "_CHUNK", chunk)
-            assert (prog.registers + 1) * prog.points <= floats * chunk
-        monkeypatch.setattr(nets, "_CHUNK", 7)
+        for cap in (1 << 10, 1 << 19):
+            monkeypatch.setattr(nets, "_REGISTER_FLOATS", cap)
+            assert_passes_within_the_cap(std, rng, monkeypatch)
+        monkeypatch.setattr(nets, "_REGISTER_FLOATS", 64)
         self.assert_same_bytes(std, std.domain.sample(20, rng))
 
     def test_program_kept_on_the_net_runs_passes_of_the_current_chunk(self, rng, monkeypatch):
         net = skip_to_standard(build_square(4)[0])
-        monkeypatch.setattr(nets, "_CHUNK", 1 << 16)
+        monkeypatch.setattr(nets, "_REGISTER_FLOATS", 1 << 19)
         prog = nets._program(net)
-        monkeypatch.setattr(nets, "_CHUNK", 7)
-        assert nets._program(net) is prog and prog.points < 25
-        self.assert_same_bytes(net, net.domain.sample(50, rng))
+        monkeypatch.setattr(nets, "_REGISTER_FLOATS", 64)
+        X = net.domain.sample(50, rng)
+        _, steps = TestPasses.run_passes(net, X, monkeypatch)
+        assert nets._program(net) is prog and (prog.registers + 1) * max(steps) <= 64
+        self.assert_same_bytes(net, X)
+
+
+def assert_passes_within_the_cap(net, rng, monkeypatch):
+    """Over two passes and a point, each pass's register file, product row
+    included, holds at most _REGISTER_FLOATS floats."""
+    prog = nets._program(net)
+    p = nets._REGISTER_FLOATS // (prog.registers + 1)
+    _, steps = TestPasses.run_passes(net, net.domain.sample(2 * p + 1, rng), monkeypatch)
+    assert len(steps) == 3 and (prog.registers + 1) * max(steps) <= nets._REGISTER_FLOATS
 
 
 def computed_units(net) -> int:
@@ -1020,14 +1028,12 @@ def test_threads_evaluating_one_net_compile_it_once(monkeypatch, rng):
     assert compiled == [net] and len(set(outs)) == 1
 
 
-def test_numbering_shares_the_runge_chain_within_the_register_budget():
+def test_numbering_shares_the_runge_chain_within_the_register_budget(rng, monkeypatch):
     runge = build_analytic(preset_series("runge")[0], 1e-6, 0.25).net
     assert computed_units(runge) <= 1100  # of 5616 in the net
+    monkeypatch.setattr(nets, "_REGISTER_FLOATS", 1 << 10)
     for net in (runge, build_multiply(8)[0]):
-        prog = nets._compile_skip(net)
-        d, w = net.input_dim, net.width
-        # the inputs, two banks of width w and the product row, at _CHUNK points
-        assert (prog.registers + 1) * prog.points <= (d + 2 * w + 1) * nets._CHUNK
+        assert_passes_within_the_cap(net, rng, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -1063,8 +1069,8 @@ def test_branching_2d_head_fits_in_few_rows():
 
 
 class TestPasses:
-    """_run takes the fewest passes its register file allows, never more than
-    a pass of the budget scaled to min(n, _CHUNK) points did."""
+    """_run takes the fewest passes of at most p = _REGISTER_FLOATS //
+    (registers + 1) points, at least one, and splits the points evenly."""
 
     NETS = {
         "skip": lambda rng: make_random_skip(1, 5, 4, rng),
@@ -1089,55 +1095,23 @@ class TestPasses:
         monkeypatch.setattr(nets, "_add_terms", add_terms)
         return out, list(slices.values())
 
-    @staticmethod
-    def cap(prog) -> int:
-        """Points of a pass for n >= _CHUNK: a register file of at most 2**19
-        floats, within the program's budget."""
-        return min(prog.points, (1 << 19) // (prog.registers + 1))
-
-    @staticmethod
-    def scaled_passes(prog, n) -> int:
-        """Passes of the budget scaled to min(n, _CHUNK) points, a pass's floor."""
-        step = max(1, prog.points * min(n, nets._CHUNK) // nets._CHUNK)
-        return -(-n // step)
-
-    def assert_pass_rule(self, net, n, rng, monkeypatch):
-        prog = nets._program(net)
-        X = net.domain.sample(n, rng)
-        out, steps = self.run_passes(net, X, monkeypatch)
-        floor = max(1, prog.points * min(n, nets._CHUNK) // nets._CHUNK)
-        p = max(floor, self.cap(prog))
-        passes = -(-n // p)
-        assert len(steps) == passes <= self.scaled_passes(prog, n)
-        step = -(-n // passes)  # split evenly; the last pass takes the rest
-        assert steps == [step] * (passes - 1) + [n - step * (passes - 1)]
-        assert (prog.registers + 1) * max(steps) <= prog.budget * nets._CHUNK
-        return X, out
-
+    # the default cap, a small one above every test net's rows, and one below
+    @pytest.mark.parametrize("cap", [1 << 19, 40, 3])
     @pytest.mark.parametrize("kind", NETS)
-    def test_passes_at_the_edges_of_a_pass(self, kind, rng, monkeypatch):
+    def test_passes_at_the_edges_of_a_pass(self, kind, cap, rng, monkeypatch):
+        monkeypatch.setattr(nets, "_REGISTER_FLOATS", cap)
         net = self.NETS[kind](rng)
-        p = self.cap(nets._program(net))
-        for n in (1, p - 1, p, p + 1, 2 * p + 1):
-            X, out = self.assert_pass_rule(net, n, rng, monkeypatch)
+        floats = nets._program(net).registers + 1  # per point, with the product row
+        p = max(1, cap // floats)
+        for n in (0, 1, p - 1, p, p + 1, 2 * p + 1):
+            X = net.domain.sample(n, rng)
+            out, steps = self.run_passes(net, X, monkeypatch)
+            passes = -(-n // p)
+            step = -(-n // passes) if passes else 0  # split evenly; the last pass takes the rest
+            assert steps == [step] * (passes - 1) + [n - step * (passes - 1)] * (passes > 0)
+            if floats <= cap:
+                assert floats * max(steps, default=0) <= cap
             assert out.tobytes() == reference_forward(net, X)[0].tobytes()
-
-    @pytest.mark.parametrize("kind", NETS)
-    def test_no_more_passes_than_a_pass_scaled_to_the_points(self, kind, rng, monkeypatch):
-        net = self.NETS[kind](rng)
-        chunk = nets._CHUNK
-        for n in (2, 3, 1000, chunk // 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
-            self.assert_pass_rule(net, n, rng, monkeypatch)
-        monkeypatch.setattr(nets, "_CHUNK", 7)
-        for n in range(1, 60):
-            X, out = self.assert_pass_rule(net, n, rng, monkeypatch)
-            assert out.tobytes() == reference_forward(net, X)[0].tobytes()
-
-    def test_the_cap_binds_below_the_budget(self, rng):
-        # a skip net of width 4 on one input may hold 10 floats per point at
-        # _CHUNK points, more than 2**19 floats; its passes keep to the cap
-        prog = nets._program(self.NETS["skip"](rng))
-        assert self.cap(prog) < prog.points
 
     @pytest.mark.parametrize("kind", NETS)
     def test_no_points(self, kind, rng, monkeypatch):
@@ -1180,8 +1154,8 @@ def numbered_units(draw):
           [(1, 1.0), (2, 1.0), (3, 1.0), (2, 1.0), (4, 1.0)]))
 def test_schedule_places_any_numbered_units_as_the_reference_does(program):
     d, units, outs = program
-    got = nets._schedule(d, units, outs, -0.0, d + 3)
-    assert pickle.dumps(got) == pickle.dumps(reference_schedule(d, units, outs, -0.0, d + 3))
+    got = nets._schedule(d, units, outs, -0.0)
+    assert pickle.dumps(got) == pickle.dumps(reference_schedule(d, units, outs, -0.0))
 
 
 @settings(max_examples=60, deadline=None)

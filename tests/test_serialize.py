@@ -283,6 +283,14 @@ class TestRejection:
         with pytest.raises(DocumentInvariantError, match=re.escape(message)):
             from_document(doc)
 
+    def test_depth_zero_document_must_declare_width_zero(self):
+        doc = to_document(affine_net(0.5, [2.0], Box.symmetric(1)))
+        doc["width"] = 3
+        with pytest.raises(
+            DocumentInvariantError, match="first layer stores 0 units, declared width 3"
+        ):
+            from_document(doc)
+
     def test_root_must_be_an_object(self):
         with pytest.raises(DocumentParseError, match="document root must be a JSON object"):
             deserialize_net("[1, 2]")

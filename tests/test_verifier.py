@@ -24,6 +24,7 @@ from relu_forge import (
     sup_error,
     sweep_csv,
     theoretical_bound,
+    verify,
     wide_to_deep,
 )
 from relu_forge.builders import BoundCertificate
@@ -137,7 +138,7 @@ class TestSupError:
         compile_skip = nets._compile_skip
         monkeypatch.setattr(nets, "_compile_skip", counting)
         net, _ = build_square(6)
-        points = 2 * nets._CHUNK + 5  # three chunks for the thread pool
+        points = 2 * verify._CHUNK + 5  # three chunks for the thread pool
         rep = sup_error(net, lambda X: X[:, 0] ** 2, net.domain, Uniform(points), threads=2)
         assert rep.points == points and compiled == [net]
         sup_error(net, lambda X: X[:, 0] ** 2, net.domain, Uniform(points), threads=2)
