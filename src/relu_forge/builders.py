@@ -18,7 +18,8 @@ by tent-map compositions; its error is exactly ``4**-L``, attained at the
 odd multiples of ``2**-L``. Products reduce to three squarings through
 ``xy = 2((x+y)/2)**2 - x**2/2 - y**2/2``, monomials iterate the product
 construction one factor at a time, and polynomials sum monomial nets with
-their coefficients.
+their coefficients. An analytic head builds one chain per factor list that
+is a prefix of no other and reads each term where that chain carries it.
 
 All constructed weights are dyadic rationals, so building introduces no
 floating-point rounding; only evaluation does.
@@ -374,28 +375,35 @@ def _compose_grow(outer: SkipNet, inner: SkipNet, declare: bool) -> SkipNet:
         return compose(pad_width(outer, target), declared(target + 1))
 
 
-def _monomial_chain(indices, L: int, d: int, clamp: bool, chains: dict) -> SkipNet:
-    """Unpadded product chain for two or more checked factors.
+def _monomial_chain(indices, L: int, d: int, clamp: bool, chains: dict) -> tuple:
+    """Unpadded product chain for two or more checked factors, and its taps.
+
+    Tap n - 2 is the ``(row, unit, shift)`` that carries the chain's value
+    after n factors, clamped if the chain is: ``compose`` holds the inner
+    value, shifted, in unit ``width - 1`` of row ``inner.depth``.
 
     Resumes from the longest factor tuple in ``chains`` that is a prefix of
-    ``indices`` and stores the result under ``tuple(indices)``. A chain is a
-    pure function of its factors, L, d and clamp, so a resumed chain is the
-    same net the full loop would build.
+    ``indices`` and stores the result and its taps under ``tuple(indices)``.
+    A chain is a pure function of its factors, L, d and clamp, so a resumed
+    chain is the same net the full loop would build, and it keeps its
+    prefix's taps: compose stacks the inner layers first.
     """
     key = tuple(indices)
     start = next((n for n in range(len(key), 1, -1) if key[:n] in chains), None)
     if start is None:
-        net = _reading(build_multiply(L)[0], [key[0] - 1, key[1] - 1], d)
+        net, taps = _reading(build_multiply(L)[0], [key[0] - 1, key[1] - 1], d), ()
         start = 2
     else:
-        net = chains[key[:start]]
+        net, taps = chains[key[:start]]
     for n, factor in enumerate(key[start:], start + 1):
         if clamp:
             net = _compose_grow(_lifted_clamp(d), net, declare=True)
         declare = clamp or _proven_chain_error(n, L) < 1
+        row = net.depth
         net = _compose_grow(_lifted_multiply(L, d, factor), net, declare)
-    chains[key] = net
-    return net
+        taps += ((row, net.width - 1, net.shifts[-1]),)
+    chains[key] = net, taps
+    return net, taps
 
 
 def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):
@@ -429,7 +437,7 @@ def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):
         a = np.zeros(input_dim)
         a[indices[0] - 1] = 1.0
         return affine_net(0.0, a, box), cert
-    net = _monomial_chain(indices, L, input_dim, clamp, {})
+    net, _ = _monomial_chain(indices, L, input_dim, clamp, {})
     if net.width < 3:
         net = pad_width(net, 3)
     return net, cert
@@ -439,6 +447,39 @@ def build_monomial(indices, L: int, input_dim: int, clamp: bool = False):
 # Polynomials
 
 
+def _head(spec: PolySpec, L: int, clamp: bool, tap: bool) -> SkipNet:
+    """Net of the spec: constant and degree-1 terms in the output map, and a
+    product chain per term of degree 2 or more, in exponent order, resumed
+    from the longest earlier one whose factor list prefixes its own. Summed,
+    each chain is weighted by its coefficient. Tapped, a factor list sorts
+    just before its extensions, so a term whose next one extends it is read
+    at a tap of the next one's chain, which is then kept in its place. The
+    chains are padded to one width before they are scaled, so a padded zero
+    takes the coefficient's sign as a stored one does, and summed at once."""
+    d = spec.input_dim
+    a0 = spec.coeffs.get((0,) * d, 0.0)
+    avec = [spec.coeffs.get(tuple(k), 0.0) for k in np.eye(d, dtype=int).tolist()]
+    cache, chains = {}, []
+    for k in sorted(k for k in spec.coeffs if multi_index_degree(k) >= 2):
+        factors, reads = expand_multi_index(k), []
+        if tap and chains and factors[: len(chains[-1][0])] == chains[-1][0]:
+            prev, a, _, reads = chains.pop()
+            reads.append((a, len(prev)))
+        chain = _monomial_chain(factors, L, d, clamp, cache)
+        chains.append((factors, spec.coeffs[k], chain, reads))
+    width = max([3] + [chain.width for _, _, (chain, _), _ in chains])
+    terms = [(1.0, affine_net(a0, avec, Box.symmetric(d)))]
+    for _, a, (chain, taps), reads in chains:
+        chain = pad_width(chain, width)
+        beta, out_a0 = a * chain.out_beta, a * chain.out_a0
+        for a_k, n in reads:  # a tap carries the value of n factors, shifted
+            row, unit, shift = taps[n - 2]
+            beta[row, unit] += a_k
+            out_a0 -= a_k * shift
+        terms.append((1.0, replace(chain, out_a0=out_a0, out_a=a * chain.out_a, out_beta=beta)))
+    return _sum(terms)
+
+
 def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
     """Sum of monomial nets weighted by the polynomial's coefficients.
 
@@ -446,12 +487,9 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
     layers; each degree-q term with q >= 2 contributes a monomial net of
     depth ``3 (q-1) L``, and all of them are summed in one step, in
     lexicographic exponent order. Certified error ``3 (p-1) 4**-L`` times
-    the total coefficient mass, p the degree.
-
-    A monomial's product chain resumes from the longest earlier monomial
-    whose factor list is a prefix of its own (x^4 from x^2, x1^2 x2 from
-    x1^2), so the chains cost one product stage per new factor. The net is
-    the same, bit for bit, as the sum of separately built monomials.
+    the total coefficient mass, p the degree. Monomials share their chains'
+    prefixes as they are built, and the net is the same, bit for bit, as the
+    sum of separately built monomials.
     """
     L = int(L)
     if L < 1:
@@ -459,17 +497,9 @@ def build_polynomial(spec: PolySpec, L: int, clamp: bool = False):
     if not spec.coeffs:
         raise ParameterError("empty polynomial specification")
     d = spec.input_dim
-    box = Box.symmetric(d)
-    a0 = spec.coeffs.get((0,) * d, 0.0)
-    avec = [spec.coeffs.get(tuple(k), 0.0) for k in np.eye(d, dtype=int).tolist()]
-    high = sorted(k for k in spec.coeffs if multi_index_degree(k) >= 2)
-    chains: dict = {}
-    mono_nets = [_monomial_chain(expand_multi_index(k), L, d, clamp, chains) for k in high]
-    width = max([3] + [m.width for m in mono_nets])
-    terms = [(spec.coeffs[k], pad_width(m, width)) for k, m in zip(high, mono_nets)]
-    net = _sum([(1.0, affine_net(a0, avec, box)), *terms])
-    cert = _certificate("polynomial", box, p=spec.degree, L=L, d=d, coeff_l1=spec.coeff_l1)
-    return net, cert
+    cert = _certificate("polynomial", Box.symmetric(d), p=spec.degree, L=L, d=d,
+                        coeff_l1=spec.coeff_l1)
+    return _head(spec, L, clamp, tap=False), cert
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +537,10 @@ def build_analytic(series: SeriesSpec, eps: float, delta: float, clamp: bool = F
     when the supplied tail bound already reaches ``eps * l1`` earlier, then
     picks the smallest per-stage depth L with
     ``3 (p-1) 2**(-2L) * head_l1 <= eps * l1`` and compiles the truncated
-    head. The certificate grants total error below ``2 * eps * l1`` on the
-    delta-shrunk box, splitting the budget evenly between truncation and
+    head tapped along its chains: in 1-d one chain to x^q, q the head's
+    degree, of depth ``3 (q-1) L``. Each tap errs by at most the chain's
+    error, so the certificate grants total error below ``2 * eps * l1`` on
+    the delta-shrunk box, splitting the budget evenly between truncation and
     polynomial approximation.
     """
     if not 0.0 < eps < 1.0:
@@ -539,11 +571,7 @@ def build_analytic(series: SeriesSpec, eps: float, delta: float, clamp: bool = F
             if stage_depth > 64:
                 raise ParameterError("stage depth search exceeded 64 levels")
     d = series.head.input_dim
-    if head.coeffs:
-        net, _ = build_polynomial(head, stage_depth, clamp=clamp)
-    else:
-        # the whole head fell below the budget; the zero net suffices
-        net = affine_net(0.0, np.zeros(d), Box.symmetric(d))
+    net = _head(head, stage_depth, clamp, tap=True)  # an empty head makes the zero net
     shrunk = Box(np.full(d, -1.0 + delta), np.full(d, 1.0 - delta))
     cert = _certificate("analytic", shrunk, d=d, delta=float(delta), eps=float(eps),
                         coeff_l1=l1, p=p, stage_depth=stage_depth)

@@ -10,7 +10,8 @@ the analytic presets ``exp``, ``sin``, ``runge``. ``build square``,
 ``multiply``, ``monomial`` and ``poly`` name the same targets: ``--indices``
 is the ``monomial:`` factor list, ``--coeffs`` the ``poly:`` spec, and a
 ``--dim`` other than the built net's input dimension is a usage error (only
-``monomial`` builds nets wider than its factors need). Grid parallelism comes
+``monomial`` builds nets wider than its factors need), as is a flag that the
+kind built does not read (``_BUILD_FLAGS``). Grid parallelism comes
 from ``--threads`` (default: all cores, overridable through the
 ``RELU_FORGE_THREADS`` environment variable); a count below 1 is a usage
 error, and results are identical for every thread count.
@@ -229,8 +230,24 @@ def _write_text(path: str, text: str):
 # Subcommand handlers
 
 
+# The kinds that read each flag of ``build``; any other kind refuses it.
+_BUILD_FLAGS = {
+    "depth": ("square", "multiply", "monomial", "poly"),
+    "indices": ("monomial",),
+    "coeffs": ("poly",),
+    "preset": ("analytic",),
+    "eps": ("analytic",),
+    "delta": ("analytic",),
+    "clamp": ("monomial", "poly", "analytic"),
+}
+
+
 def _cmd_build(args) -> int:
     kind = args.what
+    for flag, kinds in _BUILD_FLAGS.items():
+        if kind not in kinds and getattr(args, flag) is not None:
+            raise ParameterError(f"--{flag}: build {kind} does not read it")
+    clamp = bool(args.clamp)
     if kind in ("square", "multiply", "monomial", "poly"):
         if args.depth is None:
             raise ParameterError(f"build {kind} requires --depth")
@@ -239,13 +256,13 @@ def _cmd_build(args) -> int:
         if kind == "poly" and not args.coeffs:
             raise ParameterError("build poly requires --coeffs 'k1,..,kd:c;..'")
         name = {"monomial": f"monomial:{args.indices}", "poly": f"poly:{args.coeffs}"}.get(kind, kind)
-        build, _, _ = _target(name, args.dim, clamp=args.clamp)
+        build, _, _ = _target(name, args.dim, clamp=clamp)
         net, cert = build(args.depth)
     else:  # analytic
         if args.eps is None or args.delta is None:
             raise ParameterError("build analytic requires --eps and --delta")
-        series, _ = preset_series(args.preset)
-        result = build_analytic(series, args.eps, args.delta, clamp=args.clamp)
+        series, _ = preset_series(args.preset or "exp")
+        result = build_analytic(series, args.eps, args.delta, clamp=clamp)
         net, cert = result.net, result.certificate
     if args.dim is not None and args.dim != net.input_dim:
         raise ParameterError(
@@ -389,10 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--indices", help="monomial factors, 1-based: 1,1,2")
     b.add_argument("--dim", type=int, help="input dimension (default: what the target needs)")
     b.add_argument("--coeffs", help="polynomial terms: 'k1,..,kd:c;..'")
-    b.add_argument("--preset", default="exp", choices=list(PRESET_NAMES))
+    b.add_argument("--preset", choices=list(PRESET_NAMES), help="analytic series (default: exp)")
     b.add_argument("--eps", type=float, help="accuracy target for analytic builds")
     b.add_argument("--delta", type=float, help="domain shrink for analytic builds")
-    b.add_argument("--clamp", action="store_true", help="clip carried values to [-1,1] between stages")
+    b.add_argument("--clamp", action="store_true", default=None,
+                   help="clip carried values to [-1,1] between stages")
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(handler=_cmd_build)
 

@@ -25,6 +25,7 @@ from .errors import (
     DocumentInvariantError,
     DocumentParseError,
     DocumentVersionError,
+    StructuralError,
 )
 from .nets import (
     Box,
@@ -175,9 +176,12 @@ def _text(head: dict, stacks: dict, tail: dict) -> str:
     return "".join(parts)
 
 
-def _box_from(pairs) -> Box:
+def _box_from(pairs, name: str = "domain") -> Box:
     pairs = list(pairs)
-    return Box(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    try:
+        return Box(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    except StructuralError as exc:
+        raise DocumentInvariantError(f"{name}: {exc}") from exc
 
 
 def _skip_from(doc: dict) -> SkipNet:
@@ -281,7 +285,7 @@ def from_document(doc: dict):
                 lemma=str(c["lemma"]),
                 params=dict(c["params"]),
                 bound=float(c["bound"]),
-                box=_box_from(c["box"]) if "box" in c else net.domain,
+                box=_box_from(c["box"], "certificate box") if "box" in c else net.domain,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentInvariantError(f"malformed certificate: {exc}") from exc

@@ -296,7 +296,8 @@ class TestBuildPolynomial:
         series, _ = preset_series("runge")
         build = build_analytic(series, 1e-6, 0.25)
         head = series.head.truncated(build.truncation_degree)
-        assert net_bits(build.net) == net_bits(summed_polynomial(head, build.stage_depth))
+        net, _ = build_polynomial(head, build.stage_depth)
+        assert net_bits(net) == net_bits(summed_polynomial(head, build.stage_depth))
 
 
 class TestBuildAnalytic:
@@ -404,6 +405,17 @@ class TestBuildAnalytic:
                 for clamp in (False, True):
                     build_analytic(series, eps, 0.25, clamp=clamp)
                     assert calls == [], (name, eps, clamp)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("name", ["exp", "sin", "runge"])
+    def test_head_is_one_chain_deep(self, name, eps, clamp):
+        # the head's terms are read off the one chain to x^q, q its degree
+        series, _ = preset_series(name)
+        res = build_analytic(series, eps, 0.25, clamp=clamp)
+        q, L = series.head.truncated(res.truncation_degree).degree, res.stage_depth
+        assert res.net.depth == 3 * (q - 1) * L + (q - 2) * clamp
+        assert res.net.width == build_monomial([1] * q, L, 1, clamp=clamp)[0].width
 
 
 class TestTheoremDepth:

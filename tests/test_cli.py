@@ -122,6 +122,30 @@ class TestBuild:
         assert "--dim" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analytic", "--eps", "1e-3", "--delta", 0.25, "--depth", 9], "depth"),
+            (["analytic", "--eps", "1e-3", "--delta", 0.25, "--indices", "1,2"], "indices"),
+            (["analytic", "--eps", "1e-3", "--delta", 0.25, "--coeffs", "2:1"], "coeffs"),
+            (["square", "--depth", 2, "--clamp"], "clamp"),
+            (["multiply", "--depth", 2, "--clamp"], "clamp"),
+            (["square", "--depth", 2, "--preset", "runge"], "preset"),
+            (["poly", "--coeffs", POLY, "--depth", 2, "--eps", 0.5], "eps"),
+            (["monomial", "--indices", "1,2", "--depth", 2, "--delta", 0.25], "delta"),
+            (["monomial", "--indices", "1,2", "--depth", 2, "--coeffs", POLY], "coeffs"),
+            (["poly", "--coeffs", POLY, "--depth", 2, "--indices", "1,2"], "indices"),
+        ],
+        ids=["analytic-depth", "analytic-indices", "analytic-coeffs", "square-clamp",
+             "multiply-clamp", "square-preset", "poly-eps", "monomial-delta",
+             "monomial-coeffs", "poly-indices"],
+    )
+    def test_flag_the_kind_does_not_read_is_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "net.json"
+        assert run(["build", *argv, "-o", out]) == 2
+        assert f"--{flag}: build {argv[0]} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalVerifyInfo:
     def test_eval_prints_value(self, tmp_path, capsys):
@@ -180,7 +204,7 @@ class TestEvalVerifyInfo:
         assert run(["info", "-i", out]) == 0
         fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         computed, total = fields["eval_units"].split(" of ")
-        assert int(total) == 1404 * 4 and int(computed) <= 1100
+        assert int(total) == 429 * 4 and int(computed) <= 1100
         net, _ = deserialize_net(out.read_text())
         assert int(fields["eval_rows"]) == nets._compile_skip(net).registers
 
@@ -204,7 +228,7 @@ class TestEvalVerifyInfo:
         assert run(["info", "-i", dst]) == 0
         fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         computed, total = fields["eval_units"].split(" of ")
-        assert int(total) == 1404 * 6 and int(computed) <= 1300
+        assert int(total) == 429 * 6 and int(computed) <= 1300
         net, _ = deserialize_net(dst.read_text())
         assert int(fields["eval_rows"]) == nets._compile_standard(net).registers
 

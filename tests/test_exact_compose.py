@@ -12,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relu_forge import builders, build_analytic, build_monomial, preset_series
+from relu_forge import builders, build_analytic, build_monomial, build_polynomial, preset_series
+
+from test_acceptance import _runge2
 
 POINTS = 8
 
@@ -76,6 +78,24 @@ def test_builder_composes_are_exact(monkeypatch, name):
     assert any(f1.chain_shifts is not None for _, f1, _ in composes)
     assert all(c.chain_shifts is None for _, _, c in composes)
     assert _mismatches(composes, seed=7) == 0
+
+
+@pytest.mark.parametrize(
+    "target, eps, clamp",
+    [("runge", 1e-3, False), ("runge", 1e-3, True), ("runge", 1e-6, False),
+     ("runge", 1e-6, True), ("runge2", 1e-3, False)],
+)
+def test_tapped_head_equals_the_summed_head(target, eps, clamp):
+    """Each tap reads the chain value the summed layout's monomial net puts
+    out, so at dyadic points in the certificate box the nets agree exactly."""
+    series = _runge2()[0] if target == "runge2" else preset_series(target)[0]
+    built = build_analytic(series, eps, 0.25, clamp=clamp)
+    head = series.head.truncated(built.truncation_degree)
+    summed, _ = build_polynomial(head, built.stage_depth, clamp=clamp)
+    rng = np.random.default_rng(3)
+    for x in rng.integers(-192, 193, size=(4, head.input_dim)).tolist():
+        x = [Fraction(v, 256) for v in x]
+        assert exact_skip(built.net, x) == exact_skip(summed, x)
 
 
 def test_oracle_catches_too_small_chain_shifts(monkeypatch):

@@ -236,6 +236,20 @@ class TestRejection:
         with pytest.raises(DocumentInvariantError, match="non-finite"):
             deserialize_net(json.dumps(doc))
 
+    @pytest.mark.parametrize("pair, problem", [
+        ("[1.0, -1.0]", "lo < hi"), ("[0.5, 0.5]", "lo < hi"), ("[-1.0, 1e400]", "finite"),
+    ], ids=["reversed", "empty", "non-finite"])
+    @pytest.mark.parametrize("field, name", [
+        ('"domain": [[-1.0, 1.0]]', "domain"), ('"box": [[-1.0, 1.0]]', "certificate box"),
+    ], ids=["domain", "certificate"])
+    def test_bad_box_names_its_field(self, field, name, pair, problem):
+        net, cert = build_square(2)
+        text = serialize_net(net, cert)
+        assert text.count(field) == 1
+        bad = text.replace(field, field.replace("[-1.0, 1.0]", pair))
+        with pytest.raises(DocumentInvariantError, match=f"^{name}: .*{problem}"):
+            deserialize_net(bad)
+
     def test_unit_with_a_weight_moved_from_wy_to_wx_rejected(self):
         # the document's float count is unchanged, so only the per-unit shapes catch it
         doc = to_document(build_square(3)[0])
