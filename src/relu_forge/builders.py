@@ -22,7 +22,9 @@ their coefficients. An analytic head builds one chain per factor list that
 is a prefix of no other and reads each term where that chain carries it.
 
 All constructed weights are dyadic rationals, so building introduces no
-floating-point rounding; only evaluation does.
+floating-point rounding, except that a tapped analytic head rounds each
+``a_k * shift`` of a term read at a tap into ``out_a0``; otherwise only
+evaluation does.
 """
 
 from __future__ import annotations

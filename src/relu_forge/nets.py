@@ -33,6 +33,9 @@ thread count, and zero-weight padding changes no bit.
 A standard net stacks its layers into blocks of equal shapes once, when it
 is made, and its layer tuples are views into them; validation, the document
 writer and compilation read the blocks.
+Interval range analysis of a skip net propagates each distinct (layer row,
+incoming ranges) pair once, bit for bit: a summed polynomial net repeats
+each monomial's chain prefix, so a deep one has few distinct pairs.
 
 All types are immutable after construction (the kept program is derived
 from the fields and changes no value) and all functions here are pure, so
@@ -325,7 +328,10 @@ class ShallowNet:
 # standard net, a unit with bias +0.0 and one weight-1.0 term on a computed
 # unit is that unit's value: 0.0 + y and max(y, 0) are y for a ReLU output
 # y >= +0.0. A unit that reads an input, which may be -0.0, is always
-# computed. So input carries and unchanged accumulators cost nothing.
+# computed. So input carries and unchanged accumulators cost nothing. A layer
+# of the same row kinds as an earlier one, over the same previous values, has
+# that layer's ids, so the layers a summed polynomial net repeats from a
+# shared product chain are numbered once.
 #
 # _schedule makes every program, shallow ones included, in one placement pass.
 # It counts each value's reads, once per distinct live unit that reads it and
@@ -456,9 +462,11 @@ def _numbered(d: int, blocks, alias: bool = False) -> tuple:
     weights), and the value ids of x, then of each layer's units. A block is
     a pair: whether its layers read x, and a (layers, width, 1 + slots) array
     of rows, each a bias, then the weights of x if the layer reads it, then
-    those of the layer before. Given ``alias``, an identity unit is its operand."""
+    those of the layer before. Given ``alias``, an identity unit is its operand.
+    A layer of the same kinds over the same values as an earlier one has its
+    ids, so a repeated layer is numbered once."""
     units, ids, layers = [], {}, [tuple(range(d))]
-    kinds, kind_ids = [], {}
+    kinds, kind_ids, seen = [], {}, {}
     for reads_x, rows in blocks:
         flat = rows.reshape(-1, rows.shape[2])
         # a kind is the bits of a row; one sort per block finds the block's
@@ -477,20 +485,24 @@ def _numbered(d: int, blocks, alias: bool = False) -> tuple:
                 kinds.append((bits, float(k[0]), slots.tolist(), xs, identity))
             names.append(name)
         for layer in np.array(names)[kind].reshape(rows.shape[:2]).tolist():
-            vals = layers[0] + layers[-1] if reads_x else layers[-1]
-            new = []
-            for k in layer:
-                bits, c, slots, xs, identity = kinds[k]
-                ops = tuple([vals[s] for s in slots])
-                if identity and ops[0] >= d:
-                    new.append(ops[0])
-                    continue
-                v = ids.get((bits, ops))
-                if v is None:
-                    v = ids[bits, ops] = d + len(units)
-                    units.append((c, ops, xs))
-                new.append(v)
-            layers.append(tuple(new))
+            key = tuple(layer), layers[-1]
+            new = seen.get(key)
+            if new is None:
+                vals = layers[0] + layers[-1] if reads_x else layers[-1]
+                new = []
+                for k in layer:
+                    bits, c, slots, xs, identity = kinds[k]
+                    ops = tuple([vals[s] for s in slots])
+                    if identity and ops[0] >= d:
+                        new.append(ops[0])
+                        continue
+                    v = ids.get((bits, ops))
+                    if v is None:
+                        v = ids[bits, ops] = d + len(units)
+                        units.append((c, ops, xs))
+                    new.append(v)
+                new = seen[key] = tuple(new)
+            layers.append(new)
     return units, layers
 
 
@@ -760,8 +772,13 @@ def interval_bounds(net, box: Box) -> IntervalReport:
     """Propagate the box through the net, layer by layer.
 
     The returned intervals are supersets of the true ranges (standard
-    interval arithmetic, no correlation tracking). A skip net's range arrays
-    are read-only.
+    interval arithmetic, no correlation tracking). A layer's ranges depend
+    only on the bits of its row (bias, input and previous-layer weights), of
+    the ranges it reads and of the box, so the analysis of a skip net
+    propagates each distinct (row, incoming ranges) pair once, bit for bit:
+    a summed polynomial net repeats each monomial's chain prefix, and a
+    repeat shares the arrays of the layer it repeats. A skip net's range
+    arrays are read-only.
     """
     if box.dim != net.input_dim:
         raise InputError(f"box dimension {box.dim} != input_dim {net.input_dim}")
@@ -773,6 +790,12 @@ def interval_bounds(net, box: Box) -> IntervalReport:
             # 0.0 and adding the y part keep the bits
             xlo, xhi = _affine_range(net.hidden_wx, 0.0, box.lo, box.hi)
             step = max(1, _BLOCK // net.width**2)
+            # each layer's ranges, memoized by the bits of its row and of the
+            # ranges it reads
+            rows = np.concatenate([net.hidden_b[..., None], net.hidden_wx, net.hidden_wy], axis=2)
+            k = rows.shape[1] * rows.shape[2]
+            keys = rows.reshape(-1, k).view(np.dtype((np.void, 8 * k))).ravel().tolist()
+            memo = {}
             for l in range(net.depth):
                 if l == 0:
                     lo, hi = _affine_range(net.first_w, net.first_b, box.lo, box.hi)
@@ -781,6 +804,13 @@ def interval_bounds(net, box: Box) -> IntervalReport:
                     if i == 0:
                         wy = net.hidden_wy[l - 1 : l - 1 + step]
                         pos, neg = np.clip(wy, 0.0, None), np.clip(wy, None, 0.0)
+                    key = keys[l - 1], seen
+                    hit = memo.get(key)
+                    if hit is not None:
+                        ranges, seen = hit
+                        layers.append(ranges)
+                        ylo, yhi = ranges[2:]
+                        continue
                     p, n, b = pos[i], neg[i], net.hidden_b[l - 1]
                     lo = xlo[l - 1] + (b + p @ ylo + n @ yhi)
                     hi = xhi[l - 1] + (b + p @ yhi + n @ ylo)
@@ -788,6 +818,9 @@ def interval_bounds(net, box: Box) -> IntervalReport:
                 layers.append((lo, hi, ylo, yhi))
                 for a in layers[-1]:
                     a.setflags(write=False)
+                seen = ylo.tobytes() + yhi.tobytes()
+                if l:
+                    memo[key] = layers[-1], seen
             ys = (np.array([r[j] for r in layers])[..., None] for j in (2, 3))
             tlo, thi = _affine_range(net.out_beta[:, None], 0.0, *ys)
             term_lo, term_hi = tlo.ravel().tolist(), thi.ravel().tolist()

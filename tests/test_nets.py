@@ -1181,8 +1181,9 @@ def test_schedule_makes_the_reference_program(d, depth, width, activation, seed)
         assert got == want
 
 
-def test_analysis_from_layer_zero_matches_the_reference_bit_for_bit():
-    # runge's head at eps 1e-6, summed: its monomial nets repeat the chain's layers
+def test_analysis_from_layer_zero_shares_repeated_layers_bit_for_bit():
+    # runge's head at eps 1e-6, summed: its monomial nets repeat (row, incoming
+    # ranges) pairs of the chain
     built, _ = build_polynomial(preset_series("runge")[0].head.truncated(12), 13)
     net, _ = deserialize_net(serialize_net(built))
     got, want = interval_bounds(net, net.domain), reference_interval_bounds(net, net.domain)
@@ -1192,6 +1193,7 @@ def test_analysis_from_layer_zero_matches_the_reference_bit_for_bit():
         assert not any(a.flags.writeable for a in arrays), name
     assert [v.hex() for v in got.term_lo] == [v.hex() for v in want.term_lo]
     assert (got.out_lo.hex(), got.out_hi.hex()) == (want.out_lo.hex(), want.out_hi.hex())
+    assert len({id(a) for a in got.pre_lo}) < net.depth // 2  # repeats share their arrays
 
 
 def test_standard_blocks_are_stacked_once_and_read_only():
