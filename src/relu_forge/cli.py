@@ -45,7 +45,7 @@ from .calculus import (
     skip_to_standard,
     wide_to_deep,
 )
-from .errors import DocumentError, ParameterError, ReluForgeError
+from .errors import DocumentError, DocumentInvariantError, ParameterError, ReluForgeError
 from .nets import Box, ShallowNet, SkipNet, StandardNet, _program, evaluate
 from .serialize import deserialize_net, serialize_net
 from .verify import (
@@ -193,11 +193,18 @@ def _default_resolution(dim: int) -> int:
 
 
 def _read_net(path: str):
+    """The (net, certificate or None) a document file holds; a certificate
+    whose box is not of the net's input dimension is a document error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return deserialize_net(fh.read())
+            net, cert = deserialize_net(fh.read())
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    if cert is not None and cert.box.dim != net.input_dim:
+        raise DocumentInvariantError(
+            f"certificate box: dimension {cert.box.dim} != input_dim {net.input_dim}"
+        )
+    return net, cert
 
 
 def _is_stdout(fd: int) -> bool:

@@ -26,9 +26,13 @@ and leaves out units that no output reads; in a standard net, a unit that
 passes a computed unit on unchanged (a carry, an accumulator that adds
 nothing) costs nothing. The first evaluation keeps the program on the net.
 One kernel runs it over the points in the fewest passes whose register
-file holds at most 2**19 floats, split evenly. Every sum is formed in
-declaration order, so the output is bit-identical for every pass size and
-thread count, and zero-weight padding changes no bit.
+file holds at most 2**19 floats, split evenly. Beside the register file it
+keeps a row of zeros, and the ReLU is ``np.maximum`` against that row rather
+than against the scalar 0.0, which takes numpy's slower non-vector path
+(4.17 vs 0.96 us on 10,000 points, numpy 2.4.6 on a 2-core AMD EPYC). The
+bits are the same. Every sum is formed in declaration order, so the output
+is bit-identical for every pass size and thread count, and zero-weight
+padding changes no bit.
 
 A standard net stacks its layers into blocks of equal shapes once, when it
 is made, and its layer tuples are views into them; validation, the document
@@ -349,6 +353,15 @@ class ShallowNet:
 # _REGISTER_FLOATS floats (a pass of one point if its rows alone hold more),
 # and splits the points evenly over them.
 #
+# The ReLU runs against a row of zeros, np.maximum(z, zero, out=z), with zero
+# a slice of one np.zeros row of a pass's length made per _run beside the
+# register file. numpy's vector loop for maximum takes two arrays, and a Python
+# scalar sends the call down a slower path: with numpy 2.4.6 on a 2-core AMD
+# EPYC, np.maximum(z, 0.0, out=z) on 10,000 points takes 4.17 us, and 0.96 us
+# with a row of zeros as the operand (np.add takes 1.17 us). With z the first
+# operand both forms give the same bits: -0.0 becomes +0.0 (the row first would
+# keep -0.0), and NaN, +-inf and subnormals pass unchanged.
+#
 # Sums run in that order with one rounding per multiply and per add, so no bit
 # depends on the pass size or the thread count, and skipping zero weights
 # keeps padding neutral. A +-1 weight is a bare add or subtract, which rounds
@@ -567,16 +580,18 @@ def _run(prog: _Program, X) -> np.ndarray:
     passes = -(-n // p)
     step = -(-n // passes) if passes else 1
     out, regs = np.empty(n), np.empty((prog.registers + 1, min(n, step)))
+    zeros = np.zeros(min(n, step))  # the ReLU's 0: see "a row of zeros" under Evaluation
     for a in range(0, n, step):
         acc = out[a : a + step]
         regs[: prog.input_dim, : len(acc)] = X[a : a + step].T
         *rows, tmp = regs[:, : len(acc)]  # the extra last row holds products
+        zero = zeros[: len(acc)]
         acc.fill(prog.out_bias)
         for units, out_terms in prog.stages:
             for row, bias, terms in units:
                 z = rows[row]
                 _add_terms(z, terms, rows, tmp, start=bias)
-                np.maximum(z, 0.0, out=z)
+                np.maximum(z, zero, out=z)
                 if prog.ceiling is not None:
                     np.minimum(z, prog.ceiling, out=z)
             _add_terms(acc, out_terms, rows, tmp)

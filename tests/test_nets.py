@@ -1120,6 +1120,55 @@ class TestPasses:
         assert out.shape == (0,) and steps == []
 
 
+class TestRowActivations:
+    """_run applies the ReLU as np.maximum against a row of zeros, because
+    numpy's vector loop takes two arrays. Whatever numpy build runs the tests,
+    the bits must be those of the scalar form, in every SIMD lane and tail."""
+
+    SPECIAL = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+        np.inf, -np.inf, np.nan, 1.0, -1.0, 0.5, 2.0, -3.5,
+    ])
+
+    @pytest.mark.parametrize("offset", range(4))
+    def test_row_relu_gives_the_scalar_forms_bytes(self, offset):
+        k = len(self.SPECIAL)
+        z_buffer, zeros = np.empty(64 + offset), np.zeros(64 + offset)
+        for n in range(1, 65):
+            for shift in range(k):  # every value in every lane
+                values = self.SPECIAL[(np.arange(n) + shift) % k]
+                z = z_buffer[offset : offset + n]
+                z[:] = values
+                np.maximum(z, zeros[offset : offset + n], out=z)
+                assert z.tobytes() == np.maximum(values, 0.0).tobytes(), (n, shift)
+
+    NETS = {
+        # at x = -0.0 every first-layer unit is -0.0 before its ReLU, and
+        # positive weights and biases -0.0 after it would carry a kept -0.0 to
+        # the output's sign
+        "standard": lambda: chain_net(
+            [np.array([[1.0], [2.0]]), np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([[1.0, 3.0]])],
+            [np.full(2, -0.0), np.full(2, -0.0), np.full(1, -0.0)]),
+        "shallow sigmoidal": lambda: ShallowNet(
+            input_dim=1, a=np.array([[1.0], [0.5], [3.0]]), b=np.full(3, -0.0),
+            c=np.array([1.0, 2.0, 0.25]), c0=-0.0, activation=nets.SIGMOIDAL_ACTIVATION,
+            domain=Box.symmetric(1)),
+    }
+
+    @pytest.mark.parametrize("kind", NETS)
+    def test_units_that_see_negative_zero_keep_their_bytes_at_every_pass_length(
+        self, kind, monkeypatch
+    ):
+        net = self.NETS[kind]()
+        X = np.array([[-0.0], [0.0], [5e-324], [-5e-324], [0.25], [-0.75]] * 7)
+        expected, pres = reference_forward(net, X)
+        assert ((pres[0] == 0.0) & np.signbit(pres[0])).any()
+        floats = nets._program(net).registers + 1
+        for length in range(1, 18):
+            monkeypatch.setattr(nets, "_REGISTER_FLOATS", length * floats)
+            assert evaluate_batch(net, X).tobytes() == expected.tobytes(), length
+
+
 def sparse_shallow(d, units, rng, activation) -> ShallowNet:
     """Shallow net whose weights mix +-1, signed zeros and others, so that
     some units repeat and some read nothing."""

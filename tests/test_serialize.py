@@ -27,6 +27,7 @@ from relu_forge import (
     wide_to_deep,
 )
 from relu_forge import serialize
+from relu_forge.cli import main
 from relu_forge.serialize import from_document, to_document
 
 from conftest import make_random_shallow, make_random_skip, net_bits
@@ -249,6 +250,19 @@ class TestRejection:
         bad = text.replace(field, field.replace("[-1.0, 1.0]", pair))
         with pytest.raises(DocumentInvariantError, match=f"^{name}: .*{problem}"):
             deserialize_net(bad)
+
+    @pytest.mark.parametrize("command, rest", [("info", []), ("verify", ["--target", "square"])],
+                             ids=["info", "verify"])
+    def test_certificate_box_of_another_dimension_is_a_document_error(
+        self, command, rest, tmp_path, capsys
+    ):
+        doc = to_document(*build_square(2))
+        doc["certificate"]["box"] = [[-1.0, 1.0], [-1.0, 1.0]]  # the net reads one input
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "-i", str(path), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("document error: certificate box: dimension 2 != input_dim 1")
 
     def test_unit_with_a_weight_moved_from_wy_to_wx_rejected(self):
         # the document's float count is unchanged, so only the per-unit shapes catch it
